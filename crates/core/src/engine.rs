@@ -13,9 +13,16 @@
 //! straight into a `csj-storage` writer — so the same engine serves both
 //! verification (structured output) and the experiment harness (byte
 //! counting at full speed).
+//!
+//! The engine reads the tree through a [`NodeSource`]: every in-memory
+//! [`JoinIndex`] is one, and so is the out-of-core join's page-backed
+//! tree ([`crate::outofcore`]). The child-expansion rule itself lives in
+//! one function, `expand`; the parallel and resilient runners take
+//! their task splits from it too, so every executor walks the same
+//! recursion.
 
-use csj_geom::{Mbr, Metric, Point, RecordId};
-use csj_index::{JoinIndex, NodeId};
+use csj_geom::{Mbr, Metric, Point, RecordId, SoaView};
+use csj_index::{JoinIndex, LeafEntry, NodeId};
 use csj_storage::{OutputSink, OutputWriter};
 
 use crate::budget::{CancelToken, StopReason};
@@ -276,7 +283,321 @@ impl<S: GroupShape<D>, const D: usize> LinkHandler<D> for WindowedEmit<S, D> {
     }
 }
 
-/// The Figure-3 recursion, generic over tree, link handling and row sink.
+/// Node access for the Figure-3 recursion.
+///
+/// The recursion needs two kinds of access to a tree. Node *bounds*
+/// decide pruning and early stops and must cost no I/O. Node *contents*
+/// (children, leaf records) may have to be read. An in-memory
+/// [`JoinIndex`] serves both directly (the blanket impl below, with
+/// `Node = NodeId`). The out-of-core join serves them from disk pages,
+/// with nodes that carry the bounds their parent page recorded
+/// ([`crate::outofcore`]). The one [`Engine`] runs over either.
+pub trait NodeSource<const D: usize> {
+    /// A node handle: cheap to copy, and enough to evaluate every bound.
+    type Node: Copy;
+
+    /// The root node, `None` for an empty tree.
+    ///
+    /// # Errors
+    /// Returns [`CsjError::Storage`] when the root cannot be read.
+    fn root(&self) -> Result<Option<Self::Node>, CsjError>;
+
+    /// `true` if `n` stores records directly.
+    fn is_leaf(&self, n: Self::Node) -> bool;
+
+    /// A rectangle covering `n`: seeds group shapes, picks sweep axes.
+    fn node_mbr(&self, n: Self::Node) -> Mbr<D>;
+
+    /// Upper bound on the distance between two points below `n`.
+    fn max_diameter(&self, n: Self::Node, metric: Metric) -> f64;
+
+    /// Upper bound on the distance between two points below `a` or `b`.
+    fn pair_diameter(&self, a: Self::Node, b: Self::Node, metric: Metric) -> f64;
+
+    /// Lower bound on the distance between a point below `a` and a
+    /// point below `b` (MINDIST).
+    fn min_dist(&self, a: Self::Node, b: Self::Node, metric: Metric) -> f64;
+
+    /// The children of internal node `n`, in storage order.
+    ///
+    /// # Errors
+    /// Returns [`CsjError::Storage`] when `n` cannot be read.
+    fn children(&self, n: Self::Node) -> Result<Vec<Self::Node>, CsjError>;
+
+    /// Runs `probe` over leaf `n`'s records and their struct-of-arrays
+    /// coordinate slabs. The leaf stays readable (pinned, for a paged
+    /// source) only for the duration of the call.
+    ///
+    /// # Errors
+    /// Returns [`CsjError::Storage`] when `n` cannot be read, and passes
+    /// on any error of `probe`.
+    fn with_leaf<X>(
+        &self,
+        n: Self::Node,
+        probe: impl FnOnce(&[LeafEntry<D>], SoaView<'_, D>) -> Result<X, CsjError>,
+    ) -> Result<X, CsjError>;
+
+    /// Appends every record id below `n` to `out`, in the order of
+    /// [`JoinIndex::collect_record_ids`].
+    ///
+    /// # Errors
+    /// Returns [`CsjError::Storage`] when a node below `n` cannot be read.
+    fn collect_record_ids(&self, n: Self::Node, out: &mut Vec<RecordId>) -> Result<(), CsjError>;
+
+    /// Appends every record below `n` to `out`, in the order of
+    /// [`JoinIndex::collect_entries`].
+    ///
+    /// # Errors
+    /// Returns [`CsjError::Storage`] when a node below `n` cannot be read.
+    fn collect_entries(&self, n: Self::Node, out: &mut Vec<LeafEntry<D>>) -> Result<(), CsjError>;
+
+    /// The id the access log records for `n`.
+    fn log_id(&self, n: Self::Node) -> u32;
+}
+
+impl<T: JoinIndex<D> + ?Sized, const D: usize> NodeSource<D> for T {
+    type Node = NodeId;
+
+    fn root(&self) -> Result<Option<NodeId>, CsjError> {
+        Ok(JoinIndex::root(self))
+    }
+    fn is_leaf(&self, n: NodeId) -> bool {
+        JoinIndex::is_leaf(self, n)
+    }
+    fn node_mbr(&self, n: NodeId) -> Mbr<D> {
+        JoinIndex::node_mbr(self, n)
+    }
+    fn max_diameter(&self, n: NodeId, metric: Metric) -> f64 {
+        JoinIndex::max_diameter(self, n, metric)
+    }
+    fn pair_diameter(&self, a: NodeId, b: NodeId, metric: Metric) -> f64 {
+        JoinIndex::pair_diameter(self, a, b, metric)
+    }
+    fn min_dist(&self, a: NodeId, b: NodeId, metric: Metric) -> f64 {
+        JoinIndex::min_dist(self, a, b, metric)
+    }
+    fn children(&self, n: NodeId) -> Result<Vec<NodeId>, CsjError> {
+        Ok(JoinIndex::children(self, n).to_vec())
+    }
+    fn with_leaf<X>(
+        &self,
+        n: NodeId,
+        probe: impl FnOnce(&[LeafEntry<D>], SoaView<'_, D>) -> Result<X, CsjError>,
+    ) -> Result<X, CsjError> {
+        let entries = self.leaf_entries(n);
+        let soa = self.leaf_soa(n);
+        debug_assert_eq!(entries.len(), soa.len(), "leaf_soa must mirror leaf_entries");
+        probe(entries, soa)
+    }
+    fn collect_record_ids(&self, n: NodeId, out: &mut Vec<RecordId>) -> Result<(), CsjError> {
+        JoinIndex::collect_record_ids(self, n, out);
+        Ok(())
+    }
+    fn collect_entries(&self, n: NodeId, out: &mut Vec<LeafEntry<D>>) -> Result<(), CsjError> {
+        JoinIndex::collect_entries(self, n, out);
+        Ok(())
+    }
+    fn log_id(&self, n: NodeId) -> u32 {
+        n.0
+    }
+}
+
+/// One unit of Figure-3 work.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Task<N> {
+    /// `simJoin(n)`: the self-join of one subtree.
+    SelfJoin(N),
+    /// `simJoin(n1, n2)`: the join across two subtrees.
+    PairJoin(N, N),
+}
+
+/// What the recursion does with a task, decided by [`expand`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Step {
+    /// The compact-join early stop: everything below is one group.
+    Group,
+    /// Leaf-level work: probe the leaf, or the pair of leaves.
+    Leaf,
+    /// The child tasks went to the caller, in recursion order; `pruned`
+    /// candidate pairs failed the MINDIST test.
+    Split {
+        /// Child pairs MINDIST pruned.
+        pruned: u64,
+    },
+}
+
+/// The Figure-3 expansion rule, the one copy of it: decides from node
+/// bounds whether `task` stops early, probes leaves, or splits, and in
+/// the last case hands each child task to `child` in the order the
+/// recursion visits them. The engine recurses from `child`; the parallel
+/// and resilient runners collect the children as tasks of their own
+/// ([`child_tasks`]), so running those in order is the same traversal.
+///
+/// # Errors
+/// Returns [`CsjError::Storage`] when a node's children cannot be read,
+/// and passes on any error of `child`.
+fn expand<S, const D: usize>(
+    tree: &S,
+    cfg: &JoinConfig,
+    early_stop: bool,
+    task: Task<S::Node>,
+    mut child: impl FnMut(Task<S::Node>) -> Result<(), CsjError>,
+) -> Result<Step, CsjError>
+where
+    S: NodeSource<D> + ?Sized,
+{
+    let (eps, metric) = (cfg.epsilon, cfg.metric);
+    let mut pruned = 0u64;
+    let mut pair = |a, b, child: &mut dyn FnMut(Task<S::Node>) -> Result<(), CsjError>| {
+        if tree.min_dist(a, b, metric) <= eps {
+            child(Task::PairJoin(a, b))
+        } else {
+            pruned += 1;
+            Ok(())
+        }
+    };
+    match task {
+        Task::SelfJoin(n) => {
+            if early_stop && tree.max_diameter(n, metric) <= eps {
+                return Ok(Step::Group);
+            }
+            if tree.is_leaf(n) {
+                return Ok(Step::Leaf);
+            }
+            let children = tree.children(n)?;
+            if cfg.plane_sweep {
+                // Children sorted by their lower bound on the sweep
+                // axis: a pair is skipped once the axis gap exceeds ε.
+                let spans = sweep_spans(tree, widest_axis(&tree.node_mbr(n)), &children);
+                for (i, &(_, hi, a)) in spans.iter().enumerate() {
+                    child(Task::SelfJoin(a))?;
+                    for &(lo, _, b) in &spans[(i + 1)..] {
+                        if lo - hi > eps {
+                            break; // sorted by lo: every later child is farther
+                        }
+                        pair(a, b, &mut child)?;
+                    }
+                }
+            } else {
+                for (i, &a) in children.iter().enumerate() {
+                    child(Task::SelfJoin(a))?;
+                    for &b in &children[(i + 1)..] {
+                        pair(a, b, &mut child)?;
+                    }
+                }
+            }
+        }
+        Task::PairJoin(a, b) => {
+            if early_stop && tree.pair_diameter(a, b, metric) <= eps {
+                return Ok(Step::Group);
+            }
+            match (tree.is_leaf(a), tree.is_leaf(b)) {
+                (true, true) => return Ok(Step::Leaf),
+                (true, false) => {
+                    for c in tree.children(b)? {
+                        pair(a, c, &mut child)?;
+                    }
+                }
+                (false, true) => {
+                    for c in tree.children(a)? {
+                        pair(c, b, &mut child)?;
+                    }
+                }
+                (false, false) => {
+                    let (ca, cb) = (tree.children(a)?, tree.children(b)?);
+                    if cfg.plane_sweep {
+                        // `b`'s children sorted by their lower bound; for
+                        // each child of `a` the scan stops once the axis
+                        // gap exceeds ε.
+                        let axis = widest_axis(&tree.node_mbr(a).union(&tree.node_mbr(b)));
+                        let sa = sweep_spans(tree, axis, &ca);
+                        let sb = sweep_spans(tree, axis, &cb);
+                        for &(_, x_hi, x) in &sa {
+                            for &(y_lo, _, y) in &sb {
+                                if y_lo - x_hi > eps {
+                                    break; // sorted by lo: all later children are farther
+                                }
+                                pair(x, y, &mut child)?;
+                            }
+                        }
+                    } else {
+                        for &x in &ca {
+                            for &y in &cb {
+                                pair(x, y, &mut child)?;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    Ok(Step::Split { pruned })
+}
+
+/// The child tasks [`expand`] splits an in-memory `task` into, in
+/// recursion order; `None` when the recursion would not split it (an
+/// early stop, or leaf-level work).
+pub(crate) fn child_tasks<T, const D: usize>(
+    tree: &T,
+    cfg: &JoinConfig,
+    early_stop: bool,
+    task: Task<NodeId>,
+) -> Option<Vec<Task<NodeId>>>
+where
+    T: JoinIndex<D> + ?Sized,
+{
+    let mut children = Vec::new();
+    let step = infallible(expand(tree, cfg, early_stop, task, |child| {
+        children.push(child);
+        Ok(())
+    }));
+    matches!(step, Step::Split { .. }).then_some(children)
+}
+
+/// Sweep axis for a box: its widest side, where axis separation prunes
+/// the most pairs.
+fn widest_axis<const D: usize>(mbr: &Mbr<D>) -> usize {
+    let mut best = 0;
+    let mut best_extent = f64::NEG_INFINITY;
+    for d in 0..D {
+        let e = mbr.extent(d);
+        if e > best_extent {
+            best_extent = e;
+            best = d;
+        }
+    }
+    best
+}
+
+/// `(lo, hi, node)` on the sweep axis for each node, sorted by `lo`.
+fn sweep_spans<S, const D: usize>(
+    tree: &S,
+    axis: usize,
+    nodes: &[S::Node],
+) -> Vec<(f64, f64, S::Node)>
+where
+    S: NodeSource<D> + ?Sized,
+{
+    let mut spans: Vec<_> = nodes
+        .iter()
+        .map(|&c| {
+            let m = tree.node_mbr(c);
+            (m.lo[axis], m.hi[axis], c)
+        })
+        .collect();
+    spans.sort_by(|x, y| x.0.total_cmp(&y.0));
+    spans
+}
+
+/// The leaf entries sorted along a sweep axis.
+fn sorted_on<const D: usize>(entries: &[LeafEntry<D>], axis: usize) -> Vec<LeafEntry<D>> {
+    let mut sorted = entries.to_vec();
+    sorted.sort_by(|x, y| x.point[axis].total_cmp(&y.point[axis]));
+    sorted
+}
+
+/// The Figure-3 recursion, generic over node source, link handling and
+/// row sink.
 pub struct Engine<'t, T, H, R, const D: usize> {
     tree: &'t T,
     cfg: JoinConfig,
@@ -292,7 +613,7 @@ pub struct Engine<'t, T, H, R, const D: usize> {
 
 impl<'t, T, H, R, const D: usize> Engine<'t, T, H, R, D>
 where
-    T: JoinIndex<D>,
+    T: NodeSource<D>,
     H: LinkHandler<D>,
     R: RowSink,
 {
@@ -333,10 +654,10 @@ where
     /// Runs the full self-join.
     ///
     /// # Errors
-    /// Returns [`CsjError::Storage`] when the handler's sink rejects a
-    /// write; traversal stops at the failing row.
+    /// Returns [`CsjError::Storage`] when a node cannot be read or the
+    /// handler's sink rejects a write; traversal stops at the failure.
     pub fn run(&mut self) -> Result<(), CsjError> {
-        if let Some(root) = self.tree.root() {
+        if let Some(root) = self.tree.root()? {
             self.join_node(root)?;
         }
         self.finish_only()
@@ -353,389 +674,201 @@ where
         self.handler.finish(&mut self.sink, &mut self.stats)
     }
 
-    /// The subtree group MBR: the node's bounding shape by default, or
-    /// recomputed from the member points when configured.
-    fn subtree_mbr(&self, ids_node: NodeId) -> Mbr<D> {
-        if self.cfg.tighten_group_mbr {
-            let mut entries = Vec::new();
-            self.tree.collect_entries(ids_node, &mut entries);
-            let mut mbr = Mbr::empty();
-            for e in &entries {
-                mbr.expand_to_point(&e.point);
-            }
-            mbr
-        } else {
-            self.tree.node_mbr(ids_node)
+    /// Runs one task: [`Self::join_node`] or [`Self::join_pair`].
+    ///
+    /// # Errors
+    /// As [`Self::join_node`].
+    pub(crate) fn join_task(&mut self, task: Task<T::Node>) -> Result<(), CsjError> {
+        match task {
+            Task::SelfJoin(n) => self.join_node(n),
+            Task::PairJoin(a, b) => self.join_pair(a, b),
         }
     }
 
     /// `simJoin(n)`: self-join of one subtree.
     ///
     /// # Errors
-    /// Returns [`CsjError::Storage`] when a leaf probe or emit hits a
-    /// storage failure the retry policy could not absorb.
-    pub fn join_node(&mut self, n: NodeId) -> Result<(), CsjError> {
+    /// Returns [`CsjError::Storage`] when a node read, leaf probe or emit
+    /// hits a storage failure the retry policy could not absorb.
+    pub fn join_node(&mut self, n: T::Node) -> Result<(), CsjError> {
         if self.check_stopped() {
             return Ok(());
         }
         self.stats.node_visits += 1;
-        self.stats.touch_node(n.0);
-        let eps = self.cfg.epsilon;
-        let metric = self.cfg.metric;
-
-        if self.early_stop && self.tree.max_diameter(n, metric) <= eps {
-            self.stats.early_stops_node += 1;
-            let mut ids = Vec::new();
-            self.tree.collect_record_ids(n, &mut ids);
-            let mbr = self.subtree_mbr(n);
-            return self.handler.on_subtree(ids, &mbr, &mut self.sink, &mut self.stats);
-        }
-
-        if self.tree.is_leaf(n) {
-            if self.cfg.plane_sweep {
-                return self.leaf_self_sweep(n);
-            }
-            if self.cfg.batch_kernel {
-                return self.leaf_self_kernel(n);
-            }
-            let entries = self.tree.leaf_entries(n);
-            for i in 0..entries.len() {
-                for j in (i + 1)..entries.len() {
-                    self.stats.distance_computations += 1;
-                    if metric.within(&entries[i].point, &entries[j].point, eps) {
-                        self.handler.on_link(
-                            entries[i].id,
-                            &entries[i].point,
-                            entries[j].id,
-                            &entries[j].point,
-                            &mut self.sink,
-                            &mut self.stats,
-                        )?;
-                    }
-                }
-            }
-        } else if self.cfg.plane_sweep {
-            self.internal_self_sweep(n)?;
-        } else {
-            let children = self.tree.children(n).to_vec();
-            for (i, &a) in children.iter().enumerate() {
-                self.join_node(a)?;
-                for &b in &children[(i + 1)..] {
-                    if self.tree.min_dist(a, b, metric) <= eps {
-                        self.join_pair(a, b)?;
-                    } else {
-                        self.stats.pairs_pruned += 1;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Sweep axis for a node: the widest side of its bounding box, where
-    /// axis separation prunes the most pairs.
-    fn sweep_axis(&self, n: NodeId) -> usize {
-        let mbr = self.tree.node_mbr(n);
-        let mut best = 0;
-        let mut best_extent = f64::NEG_INFINITY;
-        for d in 0..D {
-            let e = mbr.extent(d);
-            if e > best_extent {
-                best_extent = e;
-                best = d;
-            }
-        }
-        best
-    }
-
-    /// Plane-sweep leaf self-join: entries sorted along the sweep axis;
-    /// the inner scan stops once the axis gap alone exceeds ε (valid for
-    /// every `Lp` metric, where per-axis deltas lower-bound the distance).
-    fn leaf_self_sweep(&mut self, n: NodeId) -> Result<(), CsjError> {
-        let eps = self.cfg.epsilon;
-        let metric = self.cfg.metric;
-        let axis = self.sweep_axis(n);
-        let mut entries = self.tree.leaf_entries(n).to_vec();
-        entries.sort_by(|x, y| x.point[axis].total_cmp(&y.point[axis]));
-        for i in 0..entries.len() {
-            for j in (i + 1)..entries.len() {
-                if entries[j].point[axis] - entries[i].point[axis] > eps {
-                    break;
-                }
-                self.stats.distance_computations += 1;
-                if metric.within(&entries[i].point, &entries[j].point, eps) {
-                    self.handler.on_link(
-                        entries[i].id,
-                        &entries[i].point,
-                        entries[j].id,
-                        &entries[j].point,
-                        &mut self.sink,
-                        &mut self.stats,
-                    )?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Batched leaf self-join: probes the leaf's struct-of-arrays
-    /// coordinate slabs with [`csj_geom::DistKernel`] (SIMD when the host
-    /// has it, chunked scalar otherwise). Hit order and comparison counts
-    /// are identical to the scalar nested loop on every path.
-    fn leaf_self_kernel(&mut self, n: NodeId) -> Result<(), CsjError> {
-        let kernel = csj_geom::DistKernel::new(self.cfg.metric, self.cfg.epsilon);
-        let tree = self.tree;
-        let entries = tree.leaf_entries(n);
-        let soa = tree.leaf_soa(n);
-        debug_assert_eq!(entries.len(), soa.len(), "leaf_soa must mirror leaf_entries");
-        let handler = &mut self.handler;
-        let sink = &mut self.sink;
-        let stats = &mut self.stats;
-        let mut comps = 0u64;
-        let res = kernel.self_join(soa, &mut comps, |i, j| {
-            handler.on_link(
-                entries[i].id,
-                &entries[i].point,
-                entries[j].id,
-                &entries[j].point,
-                &mut *sink,
-                &mut *stats,
-            )
-        });
-        stats.distance_computations += comps;
-        res
-    }
-
-    /// Batched leaf cross-join: the kernel analogue of the scalar nested
-    /// loop in [`Engine::join_pair`].
-    fn leaf_cross_kernel(&mut self, a: NodeId, b: NodeId) -> Result<(), CsjError> {
-        let kernel = csj_geom::DistKernel::new(self.cfg.metric, self.cfg.epsilon);
-        let tree = self.tree;
-        let ea = tree.leaf_entries(a);
-        let eb = tree.leaf_entries(b);
-        let sa = tree.leaf_soa(a);
-        let sb = tree.leaf_soa(b);
-        debug_assert_eq!(ea.len(), sa.len(), "leaf_soa must mirror leaf_entries");
-        debug_assert_eq!(eb.len(), sb.len(), "leaf_soa must mirror leaf_entries");
-        let handler = &mut self.handler;
-        let sink = &mut self.sink;
-        let stats = &mut self.stats;
-        let mut comps = 0u64;
-        let res = kernel.cross_join(sa, sb, &mut comps, |i, j| {
-            handler.on_link(ea[i].id, &ea[i].point, eb[j].id, &eb[j].point, &mut *sink, &mut *stats)
-        });
-        stats.distance_computations += comps;
-        res
-    }
-
-    /// Plane-sweep child pairing: children sorted by their lower bound on
-    /// the sweep axis; a pair is skipped as soon as the axis gap exceeds ε.
-    fn internal_self_sweep(&mut self, n: NodeId) -> Result<(), CsjError> {
-        let eps = self.cfg.epsilon;
-        let metric = self.cfg.metric;
-        let axis = self.sweep_axis(n);
-        let mut children: Vec<(f64, f64, NodeId)> = self
-            .tree
-            .children(n)
-            .iter()
-            .map(|&c| {
-                let m = self.tree.node_mbr(c);
-                (m.lo[axis], m.hi[axis], c)
-            })
-            .collect();
-        children.sort_by(|x, y| x.0.total_cmp(&y.0));
-        for i in 0..children.len() {
-            self.join_node(children[i].2)?;
-            for j in (i + 1)..children.len() {
-                if children[j].0 - children[i].1 > eps {
-                    break; // sorted by lo: every later child is farther
-                }
-                if self.tree.min_dist(children[i].2, children[j].2, metric) <= eps {
-                    self.join_pair(children[i].2, children[j].2)?;
-                } else {
-                    self.stats.pairs_pruned += 1;
-                }
-            }
-        }
-        Ok(())
+        self.stats.touch_node(self.tree.log_id(n));
+        self.descend(Task::SelfJoin(n))
     }
 
     /// `simJoin(n1, n2)`: join across two subtrees.
     ///
     /// # Errors
     /// Returns [`CsjError::Storage`] as in [`Self::join_node`].
-    pub fn join_pair(&mut self, a: NodeId, b: NodeId) -> Result<(), CsjError> {
+    pub fn join_pair(&mut self, a: T::Node, b: T::Node) -> Result<(), CsjError> {
         if self.check_stopped() {
             return Ok(());
         }
         self.stats.pair_visits += 1;
-        self.stats.touch_node(a.0);
-        self.stats.touch_node(b.0);
-        let eps = self.cfg.epsilon;
-        let metric = self.cfg.metric;
+        self.stats.touch_node(self.tree.log_id(a));
+        self.stats.touch_node(self.tree.log_id(b));
+        self.descend(Task::PairJoin(a, b))
+    }
 
-        if self.early_stop && self.tree.pair_diameter(a, b, metric) <= eps {
-            self.stats.early_stops_pair += 1;
-            let mut ids = Vec::new();
-            self.tree.collect_record_ids(a, &mut ids);
-            self.tree.collect_record_ids(b, &mut ids);
-            let mbr = self.subtree_mbr(a).union(&self.subtree_mbr(b));
-            return self.handler.on_subtree(ids, &mbr, &mut self.sink, &mut self.stats);
+    /// One recursion step below a visited task.
+    fn descend(&mut self, task: Task<T::Node>) -> Result<(), CsjError> {
+        let (tree, cfg) = (self.tree, self.cfg);
+        match expand(tree, &cfg, self.early_stop, task, |child| self.join_task(child))? {
+            Step::Group => self.emit_subtree(task),
+            Step::Leaf => match task {
+                Task::SelfJoin(n) => self.leaf_self(n),
+                Task::PairJoin(a, b) => self.leaf_cross(a, b),
+            },
+            Step::Split { pruned } => {
+                self.stats.pairs_pruned += pruned;
+                Ok(())
+            }
         }
+    }
 
-        match (self.tree.is_leaf(a), self.tree.is_leaf(b)) {
-            (true, true) => {
-                if self.cfg.plane_sweep {
-                    return self.leaf_cross_sweep(a, b);
-                }
-                if self.cfg.batch_kernel {
-                    return self.leaf_cross_kernel(a, b);
-                }
-                let ea = self.tree.leaf_entries(a);
-                let eb = self.tree.leaf_entries(b);
-                for x in ea {
-                    for y in eb {
-                        self.stats.distance_computations += 1;
-                        if metric.within(&x.point, &y.point, eps) {
-                            self.handler.on_link(
-                                x.id,
-                                &x.point,
-                                y.id,
-                                &y.point,
-                                &mut self.sink,
-                                &mut self.stats,
-                            )?;
+    /// The early stop: every record below the task as one group.
+    fn emit_subtree(&mut self, task: Task<T::Node>) -> Result<(), CsjError> {
+        let mut ids = Vec::new();
+        let mbr = match task {
+            Task::SelfJoin(n) => {
+                self.stats.early_stops_node += 1;
+                self.tree.collect_record_ids(n, &mut ids)?;
+                self.subtree_mbr(n)?
+            }
+            Task::PairJoin(a, b) => {
+                self.stats.early_stops_pair += 1;
+                self.tree.collect_record_ids(a, &mut ids)?;
+                self.tree.collect_record_ids(b, &mut ids)?;
+                self.subtree_mbr(a)?.union(&self.subtree_mbr(b)?)
+            }
+        };
+        self.handler.on_subtree(ids, &mbr, &mut self.sink, &mut self.stats)
+    }
+
+    /// The subtree group MBR: the node's bounding shape by default, or
+    /// recomputed from the member points when configured.
+    fn subtree_mbr(&self, n: T::Node) -> Result<Mbr<D>, CsjError> {
+        if !self.cfg.tighten_group_mbr {
+            return Ok(self.tree.node_mbr(n));
+        }
+        let mut entries = Vec::new();
+        self.tree.collect_entries(n, &mut entries)?;
+        let mut mbr = Mbr::empty();
+        for e in &entries {
+            mbr.expand_to_point(&e.point);
+        }
+        Ok(mbr)
+    }
+
+    /// Leaf self-join. Three probes, one link order per probe:
+    ///
+    /// * plane sweep: entries sorted along the sweep axis; the inner
+    ///   scan stops once the axis gap alone exceeds ε (valid for every
+    ///   `Lp` metric, where per-axis deltas lower-bound the distance);
+    /// * batched: the leaf's struct-of-arrays slabs through
+    ///   [`csj_geom::DistKernel`] (SIMD when the host has it, chunked
+    ///   scalar otherwise), with hit order and comparison counts
+    ///   identical to the scalar nested loop;
+    /// * scalar: the nested loop over entry pairs.
+    fn leaf_self(&mut self, n: T::Node) -> Result<(), CsjError> {
+        let (tree, cfg) = (self.tree, self.cfg);
+        let (eps, metric) = (cfg.epsilon, cfg.metric);
+        let Engine { handler, sink, stats, .. } = self;
+        let sweep = cfg.plane_sweep.then(|| widest_axis(&tree.node_mbr(n)));
+        let mut comps = 0u64;
+        let mut link = |x: &LeafEntry<D>, y: &LeafEntry<D>| {
+            handler.on_link(x.id, &x.point, y.id, &y.point, &mut *sink, &mut *stats)
+        };
+        let res = tree.with_leaf(n, |entries, soa| {
+            if let Some(axis) = sweep {
+                let e = sorted_on(entries, axis);
+                for i in 0..e.len() {
+                    for j in (i + 1)..e.len() {
+                        if e[j].point[axis] - e[i].point[axis] > eps {
+                            break;
+                        }
+                        comps += 1;
+                        if metric.within(&e[i].point, &e[j].point, eps) {
+                            link(&e[i], &e[j])?;
                         }
                     }
                 }
-            }
-            (true, false) => {
-                let children = self.tree.children(b).to_vec();
-                for c in children {
-                    if self.tree.min_dist(a, c, metric) <= eps {
-                        self.join_pair(a, c)?;
-                    } else {
-                        self.stats.pairs_pruned += 1;
-                    }
-                }
-            }
-            (false, true) => {
-                let children = self.tree.children(a).to_vec();
-                for c in children {
-                    if self.tree.min_dist(c, b, metric) <= eps {
-                        self.join_pair(c, b)?;
-                    } else {
-                        self.stats.pairs_pruned += 1;
-                    }
-                }
-            }
-            (false, false) => {
-                if self.cfg.plane_sweep {
-                    return self.internal_cross_sweep(a, b);
-                }
-                let ca = self.tree.children(a).to_vec();
-                let cb = self.tree.children(b).to_vec();
-                for &x in &ca {
-                    for &y in &cb {
-                        if self.tree.min_dist(x, y, metric) <= eps {
-                            self.join_pair(x, y)?;
-                        } else {
-                            self.stats.pairs_pruned += 1;
+                Ok(())
+            } else if cfg.batch_kernel {
+                csj_geom::DistKernel::new(metric, eps)
+                    .self_join(soa, &mut comps, |i, j| link(&entries[i], &entries[j]))
+            } else {
+                for i in 0..entries.len() {
+                    for j in (i + 1)..entries.len() {
+                        comps += 1;
+                        if metric.within(&entries[i].point, &entries[j].point, eps) {
+                            link(&entries[i], &entries[j])?;
                         }
                     }
                 }
+                Ok(())
             }
-        }
-        Ok(())
+        });
+        self.stats.distance_computations += comps;
+        res
     }
 
-    /// Plane-sweep leaf cross-join: both entry lists sorted on the sweep
-    /// axis of the combined box, joined with a sliding window.
-    fn leaf_cross_sweep(&mut self, a: NodeId, b: NodeId) -> Result<(), CsjError> {
-        let eps = self.cfg.epsilon;
-        let metric = self.cfg.metric;
-        let axis = {
-            let union = self.tree.node_mbr(a).union(&self.tree.node_mbr(b));
-            let mut best = 0;
-            let mut best_extent = f64::NEG_INFINITY;
-            for d in 0..D {
-                if union.extent(d) > best_extent {
-                    best_extent = union.extent(d);
-                    best = d;
-                }
-            }
-            best
+    /// Leaf cross-join, with the same three probes as
+    /// [`Self::leaf_self`]; the sweep runs a sliding window over both
+    /// leaves sorted on the widest axis of their combined box. Both
+    /// leaves stay readable for the probe (a paged source's two-pin
+    /// high-water mark).
+    fn leaf_cross(&mut self, a: T::Node, b: T::Node) -> Result<(), CsjError> {
+        let (tree, cfg) = (self.tree, self.cfg);
+        let (eps, metric) = (cfg.epsilon, cfg.metric);
+        let Engine { handler, sink, stats, .. } = self;
+        let sweep =
+            cfg.plane_sweep.then(|| widest_axis(&tree.node_mbr(a).union(&tree.node_mbr(b))));
+        let mut comps = 0u64;
+        let mut link = |x: &LeafEntry<D>, y: &LeafEntry<D>| {
+            handler.on_link(x.id, &x.point, y.id, &y.point, &mut *sink, &mut *stats)
         };
-        let mut ea = self.tree.leaf_entries(a).to_vec();
-        let mut eb = self.tree.leaf_entries(b).to_vec();
-        ea.sort_by(|x, y| x.point[axis].total_cmp(&y.point[axis]));
-        eb.sort_by(|x, y| x.point[axis].total_cmp(&y.point[axis]));
-        let mut start = 0usize;
-        for x in &ea {
-            while start < eb.len() && eb[start].point[axis] < x.point[axis] - eps {
-                start += 1;
-            }
-            for y in &eb[start..] {
-                if y.point[axis] - x.point[axis] > eps {
-                    break;
-                }
-                self.stats.distance_computations += 1;
-                if metric.within(&x.point, &y.point, eps) {
-                    self.handler.on_link(
-                        x.id,
-                        &x.point,
-                        y.id,
-                        &y.point,
-                        &mut self.sink,
-                        &mut self.stats,
-                    )?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Plane-sweep internal cross-join: `b`'s children sorted by their
-    /// lower bound; for each child of `a`, the scan stops once the axis
-    /// gap exceeds ε.
-    fn internal_cross_sweep(&mut self, a: NodeId, b: NodeId) -> Result<(), CsjError> {
-        let eps = self.cfg.epsilon;
-        let metric = self.cfg.metric;
-        let axis = {
-            let union = self.tree.node_mbr(a).union(&self.tree.node_mbr(b));
-            let mut best = 0;
-            let mut best_extent = f64::NEG_INFINITY;
-            for d in 0..D {
-                if union.extent(d) > best_extent {
-                    best_extent = union.extent(d);
-                    best = d;
-                }
-            }
-            best
-        };
-        let span = |c: NodeId| {
-            let m = self.tree.node_mbr(c);
-            (m.lo[axis], m.hi[axis], c)
-        };
-        let mut ca: Vec<(f64, f64, NodeId)> =
-            self.tree.children(a).iter().map(|&c| span(c)).collect();
-        let mut cb: Vec<(f64, f64, NodeId)> =
-            self.tree.children(b).iter().map(|&c| span(c)).collect();
-        ca.sort_by(|x, y| x.0.total_cmp(&y.0));
-        cb.sort_by(|x, y| x.0.total_cmp(&y.0));
-        for &(_, x_hi, x) in &ca {
-            for &(y_lo, _, y) in &cb {
-                if y_lo - x_hi > eps {
-                    break; // sorted by lo: all later children are farther
-                }
-                if self.tree.min_dist(x, y, metric) <= eps {
-                    self.join_pair(x, y)?;
+        let res = tree.with_leaf(a, |ea, sa| {
+            tree.with_leaf(b, |eb, sb| {
+                if let Some(axis) = sweep {
+                    let (ea, eb) = (sorted_on(ea, axis), sorted_on(eb, axis));
+                    let mut start = 0usize;
+                    for x in &ea {
+                        while start < eb.len() && eb[start].point[axis] < x.point[axis] - eps {
+                            start += 1;
+                        }
+                        for y in &eb[start..] {
+                            if y.point[axis] - x.point[axis] > eps {
+                                break;
+                            }
+                            comps += 1;
+                            if metric.within(&x.point, &y.point, eps) {
+                                link(x, y)?;
+                            }
+                        }
+                    }
+                    Ok(())
+                } else if cfg.batch_kernel {
+                    csj_geom::DistKernel::new(metric, eps)
+                        .cross_join(sa, sb, &mut comps, |i, j| link(&ea[i], &eb[j]))
                 } else {
-                    self.stats.pairs_pruned += 1;
+                    for x in ea {
+                        for y in eb {
+                            comps += 1;
+                            if metric.within(&x.point, &y.point, eps) {
+                                link(x, y)?;
+                            }
+                        }
+                    }
+                    Ok(())
                 }
-            }
-        }
-        Ok(())
+            })
+        });
+        self.stats.distance_computations += comps;
+        res
     }
 }
 

@@ -9,7 +9,7 @@
 use csj_index::JoinIndex;
 use csj_storage::{CountingSink, OutputWriter};
 
-use crate::engine::{infallible, DirectEmit, Engine, StreamSink};
+use crate::engine::{child_tasks, infallible, DirectEmit, Engine, StreamSink, Task};
 use crate::stats::JoinStats;
 use crate::JoinConfig;
 
@@ -67,7 +67,7 @@ impl BudgetedSsj {
         let mut engine =
             Engine::new(tree, self.cfg, false, DirectEmit, StreamSink::new(&mut writer));
 
-        let Some(root) = tree.root() else {
+        let Some(root) = JoinIndex::root(tree) else {
             return SsjEstimate {
                 completed: true,
                 measured_links: 0,
@@ -77,26 +77,10 @@ impl BudgetedSsj {
             };
         };
 
-        // Root-level task list: child self-joins plus qualifying child
-        // pairs. A leaf root is a single task.
-        enum Task {
-            SelfJoin(csj_index::NodeId),
-            PairJoin(csj_index::NodeId, csj_index::NodeId),
-        }
-        let mut tasks: Vec<Task> = Vec::new();
-        if tree.is_leaf(root) {
-            tasks.push(Task::SelfJoin(root));
-        } else {
-            let children = tree.children(root).to_vec();
-            for (i, &a) in children.iter().enumerate() {
-                tasks.push(Task::SelfJoin(a));
-                for &b in &children[(i + 1)..] {
-                    if tree.min_dist(a, b, self.cfg.metric) <= self.cfg.epsilon {
-                        tasks.push(Task::PairJoin(a, b));
-                    }
-                }
-            }
-        }
+        // Root-level task list: the root's child tasks from the engine's
+        // own expansion rule. A leaf root is a single task.
+        let tasks = child_tasks(tree, &self.cfg, false, Task::SelfJoin(root))
+            .unwrap_or_else(|| vec![Task::SelfJoin(root)]);
 
         let total = tasks.len().max(1);
         let mut done = 0usize;
@@ -104,10 +88,7 @@ impl BudgetedSsj {
         for task in tasks {
             // A counting sink cannot fail, so the engine results are
             // infallible here.
-            match task {
-                Task::SelfJoin(n) => infallible(engine.join_node(n)),
-                Task::PairJoin(a, b) => infallible(engine.join_pair(a, b)),
-            }
+            infallible(engine.join_task(task));
             done += 1;
             if engine.stats.links_emitted >= self.max_links && done < total {
                 completed = false;

@@ -19,7 +19,8 @@
 //! | [`outlier`] | small-group outlier mining (§I application) |
 //! | [`estimate`] | budgeted SSJ runs with extrapolated estimates |
 //! | [`parallel`] | multi-threaded task-parallel variants (extension) |
-//! | [`paged`] | run any join through a live buffer pool (Exp. 3) |
+//! | [`outofcore`] | the same joins over on-disk pages behind a bounded buffer pool |
+//! | [`paged`] | fault-injected node reads for the resilient runner |
 //! | [`group`] | group shapes (MBR per the paper; ball as §V-A ablation) |
 //! | [`output`] | join output, expansion, byte accounting |
 //! | [`stats`] | operation counters and access logs |

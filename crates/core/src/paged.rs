@@ -1,116 +1,16 @@
-//! Paged join execution: run any join *through* a buffer pool.
+//! Fault-injected node reads for the resilient runner.
 //!
-//! Experiment 3's replay approach (record the node-access log, replay it
-//! into an LRU pool) answers the paper's question after the fact. This
-//! adapter answers it live: [`PagedTree`] wraps any [`JoinIndex`] and
-//! charges one page access to an embedded [`BufferPool`] every time a
-//! node's contents are read — one tree node ≈ one page, the same mapping
-//! the arena layout was designed around. Running SSJ / N-CSJ / CSJ over
-//! the wrapper yields hit/miss statistics for the *actual* execution,
-//! including the effect of revisits under different pool capacities.
+//! [`FaultPagedTree`] wraps any [`JoinIndex`] and reads a node's page
+//! from a fault-injecting simulated disk every time the node's contents
+//! are read; [`StorageProbe`] lets [`crate::ResilientJoin`] escalate an
+//! unrecoverable read at the next task boundary. Joins over real pages
+//! behind a live buffer pool are [`crate::outofcore`]'s business.
 
 use std::cell::RefCell;
 
 use csj_geom::{Mbr, Metric, RecordId};
 use csj_index::{JoinIndex, NodeId};
-use csj_storage::{
-    BufferPool, BufferStats, FaultPolicy, PageId, RetryPager, RetryPolicy, SimulatedDisk,
-    StorageError,
-};
-
-/// A [`JoinIndex`] adapter that records every node access in an LRU
-/// buffer pool.
-///
-/// Reads of a node's bounding shape are free (shapes live in the parent's
-/// entry on a real R-tree page); reads of a node's *contents* — children
-/// lists and leaf entries — cost one page access.
-///
-/// ```
-/// use csj_core::paged::PagedTree;
-/// use csj_core::ssj::SsjJoin;
-/// use csj_geom::Point;
-/// use csj_index::{rstar::RStarTree, RTreeConfig};
-///
-/// let pts: Vec<Point<2>> = (0..2000)
-///     .map(|i| Point::new([(i % 50) as f64 / 50.0, (i / 50) as f64 / 40.0]))
-///     .collect();
-/// let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::default());
-/// let paged = PagedTree::new(&tree, 32);
-/// let _ = SsjJoin::new(0.05).run(&paged);
-/// let stats = paged.buffer_stats();
-/// assert!(stats.accesses() > 0);
-/// ```
-pub struct PagedTree<'t, T> {
-    inner: &'t T,
-    pool: RefCell<BufferPool>,
-}
-
-impl<'t, T> PagedTree<'t, T> {
-    /// Wraps `inner` with a pool of `capacity` pages.
-    pub fn new(inner: &'t T, capacity: usize) -> Self {
-        PagedTree { inner, pool: RefCell::new(BufferPool::new(capacity)) }
-    }
-
-    /// Hit/miss statistics accumulated so far.
-    pub fn buffer_stats(&self) -> BufferStats {
-        self.pool.borrow().stats()
-    }
-
-    fn touch(&self, n: NodeId) {
-        self.pool.borrow_mut().access(PageId(n.0 as u64));
-    }
-}
-
-impl<T: JoinIndex<D>, const D: usize> JoinIndex<D> for PagedTree<'_, T> {
-    fn root(&self) -> Option<NodeId> {
-        self.inner.root()
-    }
-    fn is_leaf(&self, n: NodeId) -> bool {
-        self.inner.is_leaf(n)
-    }
-    fn children(&self, n: NodeId) -> &[NodeId] {
-        self.touch(n);
-        self.inner.children(n)
-    }
-    fn leaf_entries(&self, n: NodeId) -> &[csj_index::LeafEntry<D>] {
-        self.touch(n);
-        self.inner.leaf_entries(n)
-    }
-    fn leaf_soa(&self, n: NodeId) -> csj_geom::SoaView<'_, D> {
-        self.touch(n);
-        self.inner.leaf_soa(n)
-    }
-    fn node_mbr(&self, n: NodeId) -> Mbr<D> {
-        self.inner.node_mbr(n)
-    }
-    fn max_diameter(&self, n: NodeId, metric: Metric) -> f64 {
-        self.inner.max_diameter(n, metric)
-    }
-    fn pair_diameter(&self, a: NodeId, b: NodeId, metric: Metric) -> f64 {
-        self.inner.pair_diameter(a, b, metric)
-    }
-    fn min_dist(&self, a: NodeId, b: NodeId, metric: Metric) -> f64 {
-        self.inner.min_dist(a, b, metric)
-    }
-    fn num_records(&self) -> usize {
-        self.inner.num_records()
-    }
-    fn height(&self) -> usize {
-        self.inner.height()
-    }
-    fn collect_record_ids(&self, n: NodeId, out: &mut Vec<RecordId>) {
-        // Emitting a subtree group physically reads every node below.
-        let mut stack = vec![n];
-        while let Some(cur) = stack.pop() {
-            self.touch(cur);
-            if self.inner.is_leaf(cur) {
-                out.extend(self.inner.leaf_entries(cur).iter().map(|e| e.id));
-            } else {
-                stack.extend_from_slice(self.inner.children(cur));
-            }
-        }
-    }
-}
+use csj_storage::{FaultPolicy, PageId, RetryPager, RetryPolicy, SimulatedDisk, StorageError};
 
 /// Observes storage-layer health while a join runs over a tree wrapper.
 ///
@@ -242,8 +142,6 @@ impl<T: JoinIndex<D>, const D: usize> JoinIndex<D> for FaultPagedTree<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csj::CsjJoin;
-    use crate::ncsj::NcsjJoin;
     use crate::ssj::SsjJoin;
     use csj_geom::Point;
     use csj_index::{rstar::RStarTree, RTreeConfig};
@@ -259,35 +157,6 @@ mod tests {
             mean_road_len: 0.05,
             seed: 0xCAFE,
         })
-    }
-
-    #[test]
-    fn paged_join_is_lossless() {
-        let pts = dataset();
-        let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(16));
-        let paged = PagedTree::new(&tree, 64);
-        let eps = 0.05;
-        let through_pool = CsjJoin::new(eps).with_window(10).run(&paged);
-        let direct = CsjJoin::new(eps).with_window(10).run(&tree);
-        assert_eq!(through_pool.expanded_link_set(), direct.expanded_link_set());
-        assert!(paged.buffer_stats().accesses() > 0);
-    }
-
-    #[test]
-    fn larger_pools_miss_less() {
-        let pts = dataset();
-        let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(16));
-        let eps = 0.05;
-        let misses = |cap: usize| {
-            let paged = PagedTree::new(&tree, cap);
-            let _ = SsjJoin::new(eps).run(&paged);
-            paged.buffer_stats().misses
-        };
-        let (m4, m64, m4096) = (misses(4), misses(64), misses(4096));
-        assert!(m4 >= m64, "{m4} < {m64}");
-        assert!(m64 >= m4096, "{m64} < {m4096}");
-        // With a pool bigger than the tree, only cold misses remain.
-        assert_eq!(m4096 as usize, tree.core().node_count());
     }
 
     #[test]
@@ -312,37 +181,5 @@ mod tests {
             FaultPagedTree::new(&tree, FaultPolicy::fail_every_read(1), RetryPolicy::none());
         let _ = SsjJoin::new(0.05).run(&faulty);
         assert!(faulty.storage_error().is_some(), "no retries: the first fault sticks");
-    }
-
-    #[test]
-    fn live_execution_confirms_experiment3_claim() {
-        // The paper: page access counts do not differ significantly
-        // between the algorithms. Measured live through the pool rather
-        // than by replay.
-        let pts = dataset();
-        let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(16));
-        let eps = 0.1;
-        let run = |which: u8| {
-            let paged = PagedTree::new(&tree, 32);
-            match which {
-                0 => drop(SsjJoin::new(eps).run(&paged)),
-                1 => drop(NcsjJoin::new(eps).run(&paged)),
-                _ => drop(CsjJoin::new(eps).with_window(10).run(&paged)),
-            }
-            paged.buffer_stats()
-        };
-        let (s, n, c) = (run(0), run(1), run(2));
-        // The compact joins may read slightly fewer pages (early stops
-        // read each subtree node once instead of revisiting) but never
-        // dramatically more.
-        let smax = s.misses as f64;
-        for (label, stats) in [("ncsj", n), ("csj", c)] {
-            assert!(
-                (stats.misses as f64) <= smax * 1.25,
-                "{label}: {} vs ssj {}",
-                stats.misses,
-                s.misses
-            );
-        }
     }
 }

@@ -17,7 +17,9 @@ use csj_index::{JoinIndex, NodeId};
 
 use super::ParallelAlgo;
 use crate::budget::{BudgetUsage, CancelToken, Completion, RunBudget, StopReason};
-use crate::engine::{infallible, CollectSink, DirectEmit, Engine, LinkHandler, WindowedEmit};
+use crate::engine::{
+    child_tasks, infallible, CollectSink, DirectEmit, Engine, LinkHandler, Task, WindowedEmit,
+};
 use crate::group::MbrShape;
 use crate::output::{JoinOutput, OutputItem};
 use crate::stats::JoinStats;
@@ -51,11 +53,6 @@ pub struct StaticParallelJoin {
     budget: RunBudget,
     cancel: Option<CancelToken>,
     id_width: usize,
-}
-
-enum Task {
-    SelfJoin(NodeId),
-    PairJoin(NodeId, NodeId),
 }
 
 impl StaticParallelJoin {
@@ -236,7 +233,7 @@ impl StaticParallelJoin {
     fn run_task<T: JoinIndex<D>, const D: usize>(
         &self,
         tree: &T,
-        task: &Task,
+        task: &Task<NodeId>,
     ) -> (Vec<OutputItem>, JoinStats, bool) {
         match self.algo {
             ParallelAlgo::Ssj => self.run_task_with(tree, task, false, DirectEmit),
@@ -253,7 +250,7 @@ impl StaticParallelJoin {
     fn run_task_with<T: JoinIndex<D>, H: LinkHandler<D>, const D: usize>(
         &self,
         tree: &T,
-        task: &Task,
+        task: &Task<NodeId>,
         early_stop: bool,
         handler: H,
     ) -> (Vec<OutputItem>, JoinStats, bool) {
@@ -261,46 +258,31 @@ impl StaticParallelJoin {
         if let Some(token) = &self.cancel {
             engine.set_cancel(token.clone());
         }
-        match task {
-            Task::SelfJoin(n) => infallible(engine.join_node(*n)),
-            Task::PairJoin(a, b) => infallible(engine.join_pair(*a, *b)),
-        }
+        infallible(engine.join_task(*task));
         infallible(engine.finish_only());
         let completed = engine.stop_reason().is_none();
         (std::mem::take(&mut engine.sink.items), engine.stats, completed)
     }
 
     /// Breadth-first task expansion until there are comfortably more
-    /// tasks than workers (or nothing left to split).
-    fn expand_tasks<T: JoinIndex<D>, const D: usize>(&self, tree: &T) -> Vec<Task> {
-        let Some(root) = tree.root() else { return Vec::new() };
+    /// tasks than workers (or nothing left to split). Only subtree
+    /// self-joins are split, by the engine's own expansion rule; one a
+    /// compact join would early-stop stays whole.
+    fn expand_tasks<T: JoinIndex<D>, const D: usize>(&self, tree: &T) -> Vec<Task<NodeId>> {
+        let Some(root) = JoinIndex::root(tree) else { return Vec::new() };
         let target = self.threads * 8;
-        let eps = self.cfg.epsilon;
-        let metric = self.cfg.metric;
-
+        let early_stop = self.algo != ParallelAlgo::Ssj;
         let mut queue = std::collections::VecDeque::from([Task::SelfJoin(root)]);
-        let mut done: Vec<Task> = Vec::new();
+        let mut done: Vec<Task<NodeId>> = Vec::new();
         while done.len() + queue.len() < target {
             let Some(task) = queue.pop_front() else { break };
-            match task {
-                Task::SelfJoin(n) if !tree.is_leaf(n) => {
-                    // A compact join would early-stop this whole subtree;
-                    // do not split it apart.
-                    if self.algo != ParallelAlgo::Ssj && tree.max_diameter(n, metric) <= eps {
-                        done.push(Task::SelfJoin(n));
-                        continue;
-                    }
-                    let children = tree.children(n).to_vec();
-                    for (i, &a) in children.iter().enumerate() {
-                        queue.push_back(Task::SelfJoin(a));
-                        for &b in &children[(i + 1)..] {
-                            if tree.min_dist(a, b, metric) <= eps {
-                                queue.push_back(Task::PairJoin(a, b));
-                            }
-                        }
-                    }
-                }
-                other => done.push(other),
+            if let Task::PairJoin(..) = task {
+                done.push(task);
+                continue;
+            }
+            match child_tasks(tree, &self.cfg, early_stop, task) {
+                Some(children) => queue.extend(children),
+                None => done.push(task),
             }
         }
         done.extend(queue);

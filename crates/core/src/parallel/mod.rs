@@ -23,8 +23,9 @@
 //! Determinism: every task carries a hierarchical key (its split
 //! genealogy); results are merged in key order, and splitting a task
 //! yields children whose key-ordered output is item-for-item identical
-//! to running the parent directly — the child expansion mirrors the
-//! engine's own recursion, including the early-stop and MINDIST checks.
+//! to running the parent directly — the children come from the engine's
+//! own expansion rule, early-stop and MINDIST checks included, so there
+//! is no second copy of the recursion to drift from the first.
 //! Output is therefore identical run to run regardless of scheduling,
 //! and identical whether or not any task was split or stolen.
 //!
@@ -43,7 +44,9 @@ use std::time::Instant;
 use csj_index::{JoinIndex, NodeId};
 
 use crate::budget::{BudgetUsage, CancelToken, Completion, RunBudget, StopReason};
-use crate::engine::{infallible, CollectSink, DirectEmit, Engine, LinkHandler, WindowedEmit};
+use crate::engine::{
+    child_tasks, infallible, CollectSink, DirectEmit, Engine, LinkHandler, Task, WindowedEmit,
+};
 use crate::group::MbrShape;
 use crate::output::{JoinOutput, OutputItem};
 use crate::stats::JoinStats;
@@ -88,12 +91,6 @@ pub struct ParallelJoin {
     id_width: usize,
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Task {
-    SelfJoin(NodeId),
-    PairJoin(NodeId, NodeId),
-}
-
 /// A task's split genealogy: child `j` of a task keyed `k` is keyed
 /// `k ++ [j]`. Lexicographic key order reproduces the engine's own
 /// depth-first emission order, so sorting results by key makes the
@@ -103,7 +100,7 @@ type TaskKey = Vec<u32>;
 
 struct TaskItem {
     key: TaskKey,
-    task: Task,
+    task: Task<NodeId>,
     /// Worker currently holding the task; a pool take by a different
     /// worker counts as a steal.
     owner: usize,
@@ -398,8 +395,7 @@ impl ParallelJoin {
             // Adaptive splitting: more peers are starving than the pool
             // can feed — break this task apart instead of running it.
             // CSJ tasks are exempt (their window compaction is shaped by
-            // the traversal), as are plane-sweep runs (the sweep visits
-            // children in sorted, not canonical, order).
+            // the traversal).
             //
             // ORDERING: both loads are advisory. `starving` and
             // `pool_len` only steer the split-vs-run heuristic; a stale
@@ -410,7 +406,6 @@ impl ParallelJoin {
             let starving_now = shared.starving.load(Ordering::Relaxed);
             if starving_now > shared.pool_len.load(Ordering::Relaxed) // ORDERING: as `starving`
                 && !matches!(self.algo, ParallelAlgo::Csj(_))
-                && !self.cfg.plane_sweep
             {
                 if let Some(children) = self.split_task(tree, &item) {
                     if !children.is_empty() {
@@ -458,7 +453,7 @@ impl ParallelJoin {
                 shared.pool_len.store(pool.len(), Ordering::Relaxed);
             }
 
-            let (items, stats, completed) = self.run_task(tree, &item.task);
+            let (items, stats, completed) = self.run_task(tree, item.task);
             // Load-bearing: `pending` gates the starving workers' exit
             // check and must stay SeqCst (see the Shared docs).
             shared.pending.fetch_sub(1, Ordering::SeqCst);
@@ -482,7 +477,7 @@ impl ParallelJoin {
     fn run_task<T: JoinIndex<D>, const D: usize>(
         &self,
         tree: &T,
-        task: &Task,
+        task: Task<NodeId>,
     ) -> (Vec<OutputItem>, JoinStats, bool) {
         match self.algo {
             ParallelAlgo::Ssj => self.run_task_with(tree, task, false, DirectEmit),
@@ -499,7 +494,7 @@ impl ParallelJoin {
     fn run_task_with<T: JoinIndex<D>, H: LinkHandler<D>, const D: usize>(
         &self,
         tree: &T,
-        task: &Task,
+        task: Task<NodeId>,
         early_stop: bool,
         handler: H,
     ) -> (Vec<OutputItem>, JoinStats, bool) {
@@ -507,84 +502,29 @@ impl ParallelJoin {
         if let Some(token) = &self.cancel {
             engine.set_cancel(token.clone());
         }
-        match task {
-            Task::SelfJoin(n) => infallible(engine.join_node(*n)),
-            Task::PairJoin(a, b) => infallible(engine.join_pair(*a, *b)),
-        }
+        infallible(engine.join_task(task));
         infallible(engine.finish_only());
         let completed = engine.stop_reason().is_none();
         (std::mem::take(&mut engine.sink.items), engine.stats, completed)
     }
 
-    /// Splits a task into its canonical child tasks, mirroring exactly
-    /// what the engine's recursion would do one level down — same child
-    /// order, same early-stop guards, same MINDIST pruning. Returns
-    /// `None` when the task must run whole: leaf-level work, or a
-    /// subtree/pair a compact join would early-stop (splitting it would
-    /// change the emitted groups).
+    /// Splits a task into its child tasks, taken from the engine's own
+    /// expansion rule: same child order, same
+    /// early-stop guard, same MINDIST pruning. Returns `None` when the
+    /// task must run whole: leaf-level work, or a subtree/pair a compact
+    /// join would early-stop (splitting it would change the emitted
+    /// groups).
     ///
-    /// Because the expansion is exact, executing the children in key
-    /// order produces item-for-item the same output as executing the
-    /// parent — splitting is invisible in the merged result.
+    /// Because the expansion is the recursion's, executing the children
+    /// in key order produces item-for-item the same output as executing
+    /// the parent — splitting is invisible in the merged result.
     fn split_task<T: JoinIndex<D>, const D: usize>(
         &self,
         tree: &T,
         item: &TaskItem,
     ) -> Option<Vec<TaskItem>> {
-        let eps = self.cfg.epsilon;
-        let metric = self.cfg.metric;
         let early_stop = self.algo != ParallelAlgo::Ssj;
-        let mut children: Vec<Task> = Vec::new();
-        match item.task {
-            Task::SelfJoin(n) => {
-                if tree.is_leaf(n) {
-                    return None;
-                }
-                if early_stop && tree.max_diameter(n, metric) <= eps {
-                    return None;
-                }
-                let cs = tree.children(n).to_vec();
-                for (i, &a) in cs.iter().enumerate() {
-                    children.push(Task::SelfJoin(a));
-                    for &b in &cs[(i + 1)..] {
-                        if tree.min_dist(a, b, metric) <= eps {
-                            children.push(Task::PairJoin(a, b));
-                        }
-                    }
-                }
-            }
-            Task::PairJoin(a, b) => {
-                if early_stop && tree.pair_diameter(a, b, metric) <= eps {
-                    return None;
-                }
-                match (tree.is_leaf(a), tree.is_leaf(b)) {
-                    (true, true) => return None,
-                    (true, false) => {
-                        for &c in tree.children(b) {
-                            if tree.min_dist(a, c, metric) <= eps {
-                                children.push(Task::PairJoin(a, c));
-                            }
-                        }
-                    }
-                    (false, true) => {
-                        for &c in tree.children(a) {
-                            if tree.min_dist(c, b, metric) <= eps {
-                                children.push(Task::PairJoin(c, b));
-                            }
-                        }
-                    }
-                    (false, false) => {
-                        for &x in tree.children(a) {
-                            for &y in tree.children(b) {
-                                if tree.min_dist(x, y, metric) <= eps {
-                                    children.push(Task::PairJoin(x, y));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let children = child_tasks(tree, &self.cfg, early_stop, item.task)?;
         Some(
             children
                 .into_iter()
@@ -753,6 +693,25 @@ mod tests {
         }
         assert!(split > 0, "no adaptive splits on skewed input in 5 runs");
         assert!(stolen > 0, "no steals with 8 workers in 5 runs");
+    }
+
+    #[test]
+    fn plane_sweep_splits_reproduce_the_sequential_sweep() {
+        // Task splits come from the engine's own expansion, plane-sweep
+        // order included, so SSJ and N-CSJ rows match the sequential
+        // sweep item for item at any worker count, splits and steals
+        // included.
+        let pts = skewed(2_000);
+        let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(8));
+        let cfg = JoinConfig::new(0.02).with_plane_sweep();
+        let seq_ssj = crate::engine::run_collecting(&tree, cfg, false, DirectEmit);
+        let seq_ncsj = crate::engine::run_collecting(&tree, cfg, true, DirectEmit);
+        for threads in [1, 2, 8] {
+            for (algo, seq) in [(ParallelAlgo::Ssj, &seq_ssj), (ParallelAlgo::Ncsj, &seq_ncsj)] {
+                let par = ParallelJoin::with_config(cfg, algo).with_threads(threads).run(&tree);
+                assert_eq!(par.items, seq.items, "{algo:?} threads={threads}");
+            }
+        }
     }
 
     #[test]

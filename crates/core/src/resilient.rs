@@ -42,7 +42,8 @@ use csj_storage::{OutputSink, OutputWriter};
 
 use crate::budget::{BudgetUsage, CancelToken, Completion, RunBudget, StopReason};
 use crate::engine::{
-    CollectSink, DirectEmit, Engine, LinkHandler, RowSink, StreamSink, WindowedEmit,
+    child_tasks, CollectSink, DirectEmit, Engine, LinkHandler, RowSink, StreamSink, Task,
+    WindowedEmit,
 };
 use crate::error::CsjError;
 use crate::group::MbrShape;
@@ -64,11 +65,6 @@ pub struct ResilientJoin {
     budget: RunBudget,
     cancel: Option<CancelToken>,
     id_width: usize,
-}
-
-enum Task {
-    SelfJoin(NodeId),
-    PairJoin(NodeId, NodeId),
 }
 
 /// What a resilient run reports alongside its rows.
@@ -267,7 +263,7 @@ impl ResilientJoin {
 
         let mut done = 0usize;
         let mut reason: Option<StopReason> = None;
-        for task in &tasks {
+        for &task in &tasks {
             // Pre-task boundary: a cancel or a budget trip stops the run
             // before more work starts (a pre-canceled token costs zero
             // node visits).
@@ -275,10 +271,7 @@ impl ResilientJoin {
                 reason = Some(r);
                 break;
             }
-            match task {
-                Task::SelfJoin(n) => engine.join_node(*n)?,
-                Task::PairJoin(a, b) => engine.join_pair(*a, *b)?,
-            }
+            engine.join_task(task)?;
             if let Some(r) = engine.stop_reason() {
                 // Mid-task stop (cancel): the task did not complete.
                 reason = Some(r);
@@ -342,30 +335,14 @@ impl ResilientJoin {
         }
     }
 
-    /// Root-level task list: child self-joins plus qualifying child
-    /// pairs; a leaf (or early-stoppable) root is a single task.
-    fn expand_tasks<T: JoinIndex<D>, const D: usize>(&self, tree: &T) -> Vec<Task> {
-        let Some(root) = tree.root() else { return Vec::new() };
+    /// Root-level task list: the root's child tasks from the engine's
+    /// own expansion rule (child self-joins plus qualifying child pairs);
+    /// a leaf (or early-stoppable) root is a single task.
+    fn expand_tasks<T: JoinIndex<D>, const D: usize>(&self, tree: &T) -> Vec<Task<NodeId>> {
+        let Some(root) = JoinIndex::root(tree) else { return Vec::new() };
         let compact = self.algo != ParallelAlgo::Ssj;
-        if tree.is_leaf(root)
-            || (compact && tree.max_diameter(root, self.cfg.metric) <= self.cfg.epsilon)
-        {
-            return vec![Task::SelfJoin(root)];
-        }
-        let children = tree.children(root).to_vec();
-        let mut tasks = Vec::new();
-        for (i, &a) in children.iter().enumerate() {
-            tasks.push(Task::SelfJoin(a));
-            for &b in &children[(i + 1)..] {
-                if tree.min_dist(a, b, self.cfg.metric) <= self.cfg.epsilon {
-                    tasks.push(Task::PairJoin(a, b));
-                } else {
-                    // Pruned pairs are still the engine's business when a
-                    // task runs; at the root level the prune is final.
-                }
-            }
-        }
-        tasks
+        child_tasks(tree, &self.cfg, compact, Task::SelfJoin(root))
+            .unwrap_or_else(|| vec![Task::SelfJoin(root)])
     }
 }
 

@@ -705,9 +705,9 @@ impl<const D: usize, Dk: Disk> PagedStore<D, Dk> {
 /// A page-resident rectangle tree: metadata plus a [`PagedStore`].
 ///
 /// This is the out-of-core counterpart of [`RectCore`]: same node
-/// structure, same child order, same MBRs — so a traversal that copies
-/// the in-memory engine's visit order byte-for-byte reproduces its
-/// output (see `csj_core::outofcore`).
+/// structure, same child order, same MBRs — so the join engine, run over
+/// the pages, visits nodes in the in-memory order and reproduces its
+/// output byte for byte (see `csj_core::outofcore`).
 #[derive(Debug)]
 pub struct PagedTree<const D: usize, Dk: Disk> {
     store: PagedStore<D, Dk>,
@@ -861,6 +861,12 @@ impl<const D: usize, Dk: Disk> PagedTree<D, Dk> {
     /// Cumulative I/O and pool counters.
     pub fn stats(&self) -> PagedStats {
         self.store.stats()
+    }
+
+    /// Consumes the tree, returning the backing disk (to reopen the
+    /// page file with a cold pool).
+    pub fn into_disk(self) -> Dk {
+        self.store.into_disk()
     }
 
     /// Appends every record id below `page` to `out`, in **exactly** the
