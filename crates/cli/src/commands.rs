@@ -380,8 +380,8 @@ fn join_outofcore_dim<const D: usize>(opts: &Opts, eps: f64) -> Result<(), CliEr
     let cfg_tree = RTreeConfig::default();
     let build_start = Instant::now();
     let tree = match bulk.as_str() {
-        // STR streams chunks straight to pages; the other loaders build
-        // in memory first and serialize.
+        // STR writes each node to its page as it is finished; the other
+        // loaders build the whole tree in memory first and serialize it.
         "str" => {
             PagedTree::build_str(&points, cfg_tree, disk, RetryPolicy::default(), buffer_pages)
         }

@@ -16,11 +16,21 @@
 //! Pacific NW tree in seconds.
 
 pub mod hilbert;
+mod sort;
 
+use std::ops::Range;
+
+use crate::arena::NodeId;
 use crate::rect::{RNode, RectCore};
 use crate::traits::LeafEntry;
 use crate::RTreeConfig;
 use csj_geom::{Mbr, Point, RecordId};
+use sort::{order_key, sort_all, threads_for, Sorter};
+
+/// Inputs of at least this many items are sorted on all available
+/// cores; smaller ones stay on the calling thread. Either way a loader
+/// builds the same tree.
+pub use sort::PARALLEL_MIN_ITEMS;
 
 pub(crate) fn make_entries<const D: usize>(points: &[Point<D>]) -> Vec<LeafEntry<D>> {
     points
@@ -42,10 +52,11 @@ pub fn str_pack<const D: usize>(points: &[Point<D>], config: RTreeConfig) -> Rec
         return core;
     }
     let cap = config.max_fanout;
-    let chunks = str_chunks::<_, D>(make_entries(points), cap, |e, d| e.point[d]);
+    let mut entries = make_entries(points);
+    let chunks = str_chunks::<_, D>(&mut entries, cap, |e, d| e.point[d]);
     let mut level_nodes = Vec::with_capacity(chunks.len());
     for chunk in chunks {
-        level_nodes.push(alloc_leaf(&mut core, chunk));
+        level_nodes.push(alloc_leaf(&mut core, &entries[chunk]));
     }
     core.num_records = points.len();
     pack_upper_levels_str(&mut core, level_nodes);
@@ -65,7 +76,7 @@ pub fn hilbert_pack<const D: usize>(points: &[Point<D>], config: RTreeConfig) ->
     let bounds = Mbr::from_points(points).expect("non-empty");
     let bits = hilbert::DEFAULT_BITS;
     let mut entries = make_entries(points);
-    entries.sort_by_cached_key(|e| {
+    sort_all(&mut entries, |e| {
         let mut q = [0u32; D];
         for (i, slot) in q.iter_mut().enumerate() {
             *slot = hilbert::quantize(e.point[i], bounds.lo[i], bounds.hi[i], bits);
@@ -74,8 +85,8 @@ pub fn hilbert_pack<const D: usize>(points: &[Point<D>], config: RTreeConfig) ->
     });
     let cap = config.max_fanout;
     let mut level_nodes = Vec::new();
-    for chunk in balanced_chunks(entries, cap) {
-        level_nodes.push(alloc_leaf(&mut core, chunk));
+    for chunk in balanced_chunks(0..entries.len(), cap) {
+        level_nodes.push(alloc_leaf(&mut core, &entries[chunk]));
     }
     core.num_records = points.len();
     // The Hilbert order is already locality-preserving; chunk consecutive
@@ -92,10 +103,10 @@ pub fn omt_pack<const D: usize>(points: &[Point<D>], config: RTreeConfig) -> Rec
     if points.is_empty() {
         return core;
     }
-    let entries = make_entries(points);
+    let mut entries = make_entries(points);
     let cap = config.max_fanout;
     let height = height_for(entries.len(), cap);
-    let root = omt_build(&mut core, entries, cap, height);
+    let root = omt_build(&mut core, &mut entries, cap, height);
     core.root = Some(root);
     core.num_records = points.len();
     core
@@ -112,99 +123,106 @@ fn height_for(n: usize, cap: usize) -> u32 {
     h
 }
 
-fn alloc_leaf<const D: usize>(
-    core: &mut RectCore<D>,
-    entries: Vec<LeafEntry<D>>,
-) -> crate::arena::NodeId {
+/// The bounding rectangle of a leaf's entries.
+pub(crate) fn leaf_mbr<const D: usize>(entries: &[LeafEntry<D>]) -> Mbr<D> {
+    let mut m = Mbr::empty();
+    for e in entries {
+        m.expand_to_point(&e.point);
+    }
+    m
+}
+
+fn alloc_leaf<const D: usize>(core: &mut RectCore<D>, entries: &[LeafEntry<D>]) -> NodeId {
     debug_assert!(!entries.is_empty());
     let mut leaf = RNode::new_leaf();
-    leaf.mbr = {
-        let mut m = Mbr::empty();
-        for e in &entries {
-            m.expand_to_point(&e.point);
-        }
-        m
-    };
-    leaf.entries = entries.into();
+    leaf.mbr = leaf_mbr(entries);
+    leaf.entries = entries.to_vec().into();
     core.arena.alloc(leaf)
 }
 
-/// Splits `items` into chunks of at most `cap` with all sizes as equal as
-/// possible (never below `cap / 2`, so min-fanout holds for `m <= M/2`).
-pub(crate) fn balanced_chunks<T>(items: Vec<T>, cap: usize) -> Vec<Vec<T>> {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
+/// Splits `range` into consecutive chunks of at most `cap` with all sizes
+/// as equal as possible (never below `cap / 2`, so min-fanout holds for
+/// `m <= M/2`).
+fn balanced_chunks(range: Range<usize>, cap: usize) -> impl Iterator<Item = Range<usize>> {
+    let n = range.len();
     let k = n.div_ceil(cap);
-    let base = n / k;
-    let extra = n % k; // first `extra` chunks get one more
-    let mut out = Vec::with_capacity(k);
-    let mut iter = items.into_iter();
-    for i in 0..k {
-        let take = base + usize::from(i < extra);
-        out.push(iter.by_ref().take(take).collect());
-    }
-    out
+    let (base, extra) = n.checked_div(k).map_or((0, 0), |base| (base, n % k)); // first `extra` get one more
+    let mut start = range.start;
+    (0..k).map(move |i| {
+        let end = start + base + usize::from(i < extra);
+        let chunk = start..end;
+        start = end;
+        chunk
+    })
 }
 
-/// Recursive STR tiling: sort by the current dimension, cut into slabs,
-/// recurse on the next dimension; the last dimension chunks directly.
+/// Recursive STR tiling of `items`, in place: sort by the current
+/// dimension, cut into slabs, tile each slab by the next dimension; the
+/// last dimension chunks directly, and a slab of at most `cap` items is
+/// a chunk as it stands. Returns the chunks as consecutive ranges of the
+/// tiled `items`.
+///
+/// Each dimension is one level of independent slabs, sorted together by
+/// one [`Sorter`], so the slabs of a large input are spread over cores.
 pub(crate) fn str_chunks<T, const D: usize>(
-    items: Vec<T>,
+    items: &mut [T],
     cap: usize,
     key: fn(&T, usize) -> f64,
-) -> Vec<Vec<T>> {
-    fn rec<T, const D: usize>(
-        mut items: Vec<T>,
-        dim: usize,
-        cap: usize,
-        key: fn(&T, usize) -> f64,
-        out: &mut Vec<Vec<T>>,
-    ) {
-        let n = items.len();
-        if n <= cap {
-            if n > 0 {
-                out.push(items);
+) -> Vec<Range<usize>>
+where
+    T: Copy + Send + Sync,
+{
+    str_chunks_on::<T, D>(items, cap, key, threads_for(items.len()))
+}
+
+fn str_chunks_on<T, const D: usize>(
+    items: &mut [T],
+    cap: usize,
+    key: fn(&T, usize) -> f64,
+    threads: usize,
+) -> Vec<Range<usize>>
+where
+    T: Copy + Send + Sync,
+{
+    let mut sorter = Sorter::new(threads);
+    let mut chunks = Vec::new();
+    let mut slabs: Vec<Range<usize>> = std::iter::once(0..items.len()).collect();
+    for dim in 0..D {
+        let (small, runs): (Vec<_>, Vec<_>) = slabs.into_iter().partition(|r| r.len() <= cap);
+        chunks.extend(small.into_iter().filter(|r| !r.is_empty()));
+        sorter.sort_runs(items, &runs, |t| order_key(key(t, dim)));
+        slabs = Vec::new();
+        for run in runs {
+            if dim == D - 1 {
+                chunks.extend(balanced_chunks(run, cap));
+                continue;
             }
-            return;
-        }
-        items.sort_by(|a, b| key(a, dim).total_cmp(&key(b, dim)));
-        if dim == D - 1 {
-            out.extend(balanced_chunks(items, cap));
-            return;
-        }
-        // Number of leaves this subproblem will produce, tiled into
-        // `slices` slabs along this dimension.
-        let leaves = n.div_ceil(cap);
-        let remaining_dims = (D - dim) as f64;
-        let slices = (leaves as f64).powf(1.0 / remaining_dims).ceil() as usize;
-        let slices = slices.clamp(1, leaves);
-        for slab in balanced_chunks(items, n.div_ceil(slices)) {
-            rec::<T, D>(slab, dim + 1, cap, key, out);
+            // Number of leaves this slab will produce, tiled into
+            // `slices` slabs along this dimension.
+            let n = run.len();
+            let leaves = n.div_ceil(cap);
+            let remaining_dims = (D - dim) as f64;
+            let slices = (leaves as f64).powf(1.0 / remaining_dims).ceil() as usize;
+            let slices = slices.clamp(1, leaves);
+            slabs.extend(balanced_chunks(run, n.div_ceil(slices)));
         }
     }
-    let mut out = Vec::new();
-    rec::<T, D>(items, 0, cap, key, &mut out);
-    out
+    // Every slab is tiled within its own range, so range order is the
+    // order the recursive tiling emits its chunks in.
+    chunks.sort_unstable_by_key(|r| r.start);
+    chunks
 }
 
 /// Builds internal levels by STR-tiling node centers.
-fn pack_upper_levels_str<const D: usize>(
-    core: &mut RectCore<D>,
-    mut level_nodes: Vec<crate::arena::NodeId>,
-) {
+fn pack_upper_levels_str<const D: usize>(core: &mut RectCore<D>, mut level_nodes: Vec<NodeId>) {
     let cap = core.config.max_fanout;
     let mut level = 1u32;
     while level_nodes.len() > 1 {
-        let items: Vec<(crate::arena::NodeId, Point<D>)> =
+        let mut items: Vec<(NodeId, Point<D>)> =
             level_nodes.iter().map(|&id| (id, core.node(id).mbr.center())).collect();
-        let groups = str_chunks::<_, D>(items, cap, |it, d| it.1[d]);
-        level_nodes = attach_groups(
-            core,
-            groups.into_iter().map(|g| g.into_iter().map(|(id, _)| id).collect()),
-            level,
-        );
+        let groups = str_chunks::<_, D>(&mut items, cap, |it, d| it.1[d]);
+        let groups = groups.into_iter().map(|g| items[g].iter().map(|&(id, _)| id).collect());
+        level_nodes = attach_groups(core, groups, level);
         level += 1;
     }
     core.root = level_nodes.pop();
@@ -214,15 +232,12 @@ fn pack_upper_levels_str<const D: usize>(
 }
 
 /// Builds internal levels by chunking consecutive runs (order preserved).
-fn pack_upper_levels_ordered<const D: usize>(
-    core: &mut RectCore<D>,
-    mut level_nodes: Vec<crate::arena::NodeId>,
-) {
+fn pack_upper_levels_ordered<const D: usize>(core: &mut RectCore<D>, mut level_nodes: Vec<NodeId>) {
     let cap = core.config.max_fanout;
     let mut level = 1u32;
     while level_nodes.len() > 1 {
-        let groups = balanced_chunks(level_nodes, cap);
-        level_nodes = attach_groups(core, groups.into_iter(), level);
+        let groups = balanced_chunks(0..level_nodes.len(), cap).map(|g| level_nodes[g].to_vec());
+        level_nodes = attach_groups(core, groups, level);
         level += 1;
     }
     core.root = level_nodes.pop();
@@ -233,9 +248,9 @@ fn pack_upper_levels_ordered<const D: usize>(
 
 fn attach_groups<const D: usize>(
     core: &mut RectCore<D>,
-    groups: impl Iterator<Item = Vec<crate::arena::NodeId>>,
+    groups: impl Iterator<Item = Vec<NodeId>>,
     level: u32,
-) -> Vec<crate::arena::NodeId> {
+) -> Vec<NodeId> {
     let mut parents = Vec::new();
     for group in groups {
         debug_assert!(!group.is_empty());
@@ -257,19 +272,19 @@ fn attach_groups<const D: usize>(
 /// `entries` (`entries.len() <= cap^height`).
 fn omt_build<const D: usize>(
     core: &mut RectCore<D>,
-    entries: Vec<LeafEntry<D>>,
+    entries: &mut [LeafEntry<D>],
     cap: usize,
     height: u32,
-) -> crate::arena::NodeId {
+) -> NodeId {
     if height == 1 {
         debug_assert!(entries.len() <= cap);
         return alloc_leaf(core, entries);
     }
     let subtree_cap = (cap as u128).pow(height - 1);
     let k = ((entries.len() as u128).div_ceil(subtree_cap) as usize).clamp(2, cap);
-    let groups = slice_groups::<_, D>(entries, k, 0, |e, d| e.point[d]);
-    let children: Vec<crate::arena::NodeId> =
-        groups.into_iter().map(|g| omt_build(core, g, cap, height - 1)).collect();
+    let groups = slice_groups::<D>(entries, k, 0);
+    let children: Vec<NodeId> =
+        groups.into_iter().map(|g| omt_build(core, &mut entries[g], cap, height - 1)).collect();
     let parent = core.arena.alloc(RNode::new_internal(height - 1));
     let mut mbr = Mbr::empty();
     for &c in &children {
@@ -282,39 +297,37 @@ fn omt_build<const D: usize>(
     parent
 }
 
-/// Partitions `items` into exactly `k` groups of near-equal size by
-/// recursive dimension-sorted slicing (the OMT partition step).
-fn slice_groups<T, const D: usize>(
-    mut items: Vec<T>,
+/// Partitions `items`, in place, into exactly `k` consecutive groups of
+/// near-equal size by recursive dimension-sorted slicing (the OMT
+/// partition step); returns the groups' ranges.
+fn slice_groups<const D: usize>(
+    items: &mut [LeafEntry<D>],
     k: usize,
     dim: usize,
-    key: fn(&T, usize) -> f64,
-) -> Vec<Vec<T>> {
+) -> Vec<Range<usize>> {
     debug_assert!(k >= 1);
+    let n = items.len();
     if k == 1 {
-        return vec![items];
+        return std::iter::once(0..n).collect();
     }
-    items.sort_by(|a, b| key(a, dim).total_cmp(&key(b, dim)));
+    sort_all(items, |e| order_key(e.point[dim]));
     if dim == D - 1 {
-        return equal_partition(items, k);
+        return equal_partition(n, k);
     }
     let remaining_dims = (D - dim) as f64;
     let slices = ((k as f64).powf(1.0 / remaining_dims).ceil() as usize).clamp(1, k);
     // Distribute the k groups over the slices, then the items over the
     // slices proportionally.
-    let group_counts = spread(k, slices);
-    let n = items.len();
     let mut out = Vec::with_capacity(k);
-    let mut iter = items.into_iter();
     let mut assigned_items = 0usize;
     let mut assigned_groups = 0usize;
-    for &gc in &group_counts {
+    for &gc in &spread(k, slices) {
         // Proportional share of items for gc of the k groups.
-        let take = ((assigned_groups + gc) * n / k) - assigned_items;
-        assigned_items += take;
+        let slab = assigned_items..(assigned_groups + gc) * n / k;
+        assigned_items = slab.end;
         assigned_groups += gc;
-        let slab: Vec<T> = iter.by_ref().take(take).collect();
-        out.extend(slice_groups::<_, D>(slab, gc, dim + 1, key));
+        let groups = slice_groups::<D>(&mut items[slab.clone()], gc, dim + 1);
+        out.extend(groups.into_iter().map(|g| slab.start + g.start..slab.start + g.end));
     }
     out
 }
@@ -326,19 +339,9 @@ fn spread(k: usize, s: usize) -> Vec<usize> {
     (0..s).map(|i| base + usize::from(i < extra)).collect()
 }
 
-/// Splits `items` into exactly `k` consecutive groups, sizes equal ±1.
-fn equal_partition<T>(items: Vec<T>, k: usize) -> Vec<Vec<T>> {
-    let n = items.len();
-    let mut out = Vec::with_capacity(k);
-    let mut iter = items.into_iter();
-    let mut taken = 0usize;
-    for i in 0..k {
-        let end = (i + 1) * n / k;
-        let take = end - taken;
-        taken = end;
-        out.push(iter.by_ref().take(take).collect());
-    }
-    out
+/// Splits `0..n` into exactly `k` consecutive ranges, sizes equal ±1.
+fn equal_partition(n: usize, k: usize) -> Vec<Range<usize>> {
+    (0..k).map(|i| i * n / k..(i + 1) * n / k).collect()
 }
 
 #[cfg(test)]
@@ -444,25 +447,76 @@ mod tests {
         assert_eq!(height_for(101, 10), 3);
     }
 
+    /// Points on a coarse grid, each repeated: nearly every coordinate
+    /// is tied, so only an exactly stable order reproduces the chunks.
+    fn tied_grid<const D: usize>(n: usize) -> Vec<Point<D>> {
+        (0..n)
+            .map(|i| {
+                let h = (i / 3).wrapping_mul(2654435761);
+                Point::new(std::array::from_fn(|d| ((h >> (5 * d)) % 13) as f64 / 13.0))
+            })
+            .collect()
+    }
+
+    /// The tiling of `points` on `threads` threads: the tiled entry ids
+    /// and the chunk ranges.
+    fn tiling<const D: usize>(
+        points: &[Point<D>],
+        cap: usize,
+        threads: usize,
+    ) -> (Vec<u32>, Vec<Range<usize>>) {
+        let mut entries = make_entries(points);
+        let chunks = str_chunks_on::<_, D>(&mut entries, cap, |e, d| e.point[d], threads);
+        (entries.iter().map(|e| e.id).collect(), chunks)
+    }
+
+    #[test]
+    fn threaded_str_tiling_matches_one_thread() {
+        for n in [1usize, 9, 10, 11, 600, 1500] {
+            let (p2, p3) = (tied_grid::<2>(n), tied_grid::<3>(n));
+            for threads in [2, 3, 5] {
+                assert_eq!(tiling(&p2, 10, threads), tiling(&p2, 10, 1), "2-d n={n}");
+                assert_eq!(tiling(&p3, 6, threads), tiling(&p3, 6, 1), "3-d n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn str_chunks_cover_the_input_in_order() {
+        let pts = tied_grid::<2>(2345);
+        let (ids, chunks) = tiling(&pts, 10, 1);
+        assert_eq!(chunks.first().map(|c| c.start), Some(0));
+        assert!(chunks.windows(2).all(|w| w[0].end == w[1].start));
+        assert_eq!(chunks.last().map(|c| c.end), Some(2345));
+        assert!(chunks.iter().all(|c| (5..=10).contains(&c.len())));
+        let mut sorted = ids;
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..2345).collect::<Vec<u32>>());
+    }
+
     #[test]
     fn balanced_chunks_sizes() {
-        let chunks = balanced_chunks((0..23).collect::<Vec<_>>(), 10);
+        let chunks: Vec<Range<usize>> = balanced_chunks(5..28, 10).collect();
         assert_eq!(chunks.len(), 3);
-        let sizes: Vec<usize> = chunks.iter().map(Vec::len).collect();
+        let sizes: Vec<usize> = chunks.iter().map(Range::len).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 23);
         assert!(sizes.iter().all(|&s| s == 7 || s == 8));
-        assert!(balanced_chunks(Vec::<i32>::new(), 5).is_empty());
+        // Consecutive and covering.
+        assert_eq!(chunks[0].start, 5);
+        assert!(chunks.windows(2).all(|w| w[0].end == w[1].start));
+        assert_eq!(chunks[2].end, 28);
+        assert_eq!(balanced_chunks(3..3, 5).count(), 0);
     }
 
     #[test]
     fn equal_partition_exact() {
-        let parts = equal_partition((0..10).collect::<Vec<_>>(), 3);
+        let parts = equal_partition(10, 3);
         assert_eq!(parts.len(), 3);
-        let sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
+        let sizes: Vec<usize> = parts.iter().map(Range::len).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 10);
         assert!(sizes.iter().all(|&s| s == 3 || s == 4));
-        // Order preserved: concatenation is the original.
-        let flat: Vec<i32> = parts.into_iter().flatten().collect();
+        // Order preserved: the ranges are consecutive from 0 to n.
+        let flat: Vec<usize> = parts.into_iter().flatten().collect();
         assert_eq!(flat, (0..10).collect::<Vec<_>>());
     }
 }

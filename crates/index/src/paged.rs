@@ -34,17 +34,22 @@
 //!
 //! Trees reach disk two ways: [`PagedTree::from_core`] serializes any
 //! built [`RectCore`] (so all three bulk loaders — STR, Hilbert, OMT —
-//! write to pages), and [`PagedTree::build_str`] streams an STR build
-//! bottom-up, writing each leaf as its chunk is produced and keeping
-//! only `(page, MBR)` per node of the level under construction — the
-//! node arena for a multi-million-point tree never materializes.
+//! write to pages), and [`PagedTree::build_str`] runs an STR build
+//! bottom-up without one. Its STR tiling sorts all leaf entries in one
+//! buffer first; then it encodes each leaf and writes it straight through
+//! the retry pager, bypassing the buffer pool, and keeps only
+//! `(page, MBR)` per node of the level under construction. Resident
+//! during the build are the entries (with the sort's scratch while the
+//! tiling runs), one level's summaries and the page being encoded — the
+//! node arena for a multi-million-point tree never materializes, and the
+//! finished tree starts with a cold pool.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
 use std::rc::Rc;
 
-use crate::bulk::{make_entries, str_chunks};
+use crate::bulk::{leaf_mbr, make_entries, str_chunks};
 use crate::rect::RectCore;
 use crate::store::LeafStore;
 use crate::traits::LeafEntry;
@@ -108,21 +113,18 @@ pub struct PagedNode<const D: usize> {
 impl<const D: usize> PagedNode<D> {
     /// A leaf over `entries` (MBR computed from the points).
     pub fn leaf(entries: Vec<LeafEntry<D>>) -> Self {
-        let mut mbr = Mbr::empty();
-        for e in &entries {
-            mbr.expand_to_point(&e.point);
+        PagedNode {
+            level: 0,
+            mbr: leaf_mbr(&entries),
+            children: Vec::new(),
+            entries: entries.into(),
         }
-        PagedNode { level: 0, mbr, children: Vec::new(), entries: entries.into() }
     }
 
     /// An internal node over `children` (MBR = union of child MBRs).
     pub fn internal(level: u32, children: Vec<(PageId, Mbr<D>)>) -> Self {
         debug_assert!(level >= 1);
-        let mut mbr = Mbr::empty();
-        for (_, m) in &children {
-            mbr.expand_to_mbr(m);
-        }
-        PagedNode { level, mbr, children, entries: LeafStore::new() }
+        PagedNode { level, mbr: children_mbr(&children), children, entries: LeafStore::new() }
     }
 
     /// `true` if the node stores data records directly.
@@ -140,6 +142,15 @@ impl<const D: usize> PagedNode<D> {
                 self.children.len() * child_slot_len(D)
             }
     }
+}
+
+/// The union of child MBRs: an internal node's MBR.
+fn children_mbr<const D: usize>(children: &[(PageId, Mbr<D>)]) -> Mbr<D> {
+    let mut mbr = Mbr::empty();
+    for (_, m) in children {
+        mbr.expand_to_mbr(m);
+    }
+    mbr
 }
 
 fn corrupt(page: PageId, msg: impl std::fmt::Display) -> StorageError {
@@ -234,24 +245,49 @@ fn put_mbr<const D: usize>(buf: &mut Vec<u8>, mbr: &Mbr<D>) {
 
 /// Serializes a node into page bytes (zero-padded to [`PAGE_SIZE`]).
 fn encode_node<const D: usize>(node: &PagedNode<D>) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(node.encoded_len());
-    buf.extend_from_slice(&node.level.to_le_bytes());
-    let count = if node.is_leaf() { node.entries.len() } else { node.children.len() } as u32;
-    buf.extend_from_slice(&count.to_le_bytes());
-    put_mbr(&mut buf, &node.mbr);
     if node.is_leaf() {
-        for e in node.entries.iter() {
-            buf.extend_from_slice(&e.id.to_le_bytes());
-            for d in 0..D {
-                buf.extend_from_slice(&e.point[d].to_bits().to_le_bytes());
-            }
-        }
+        encode_leaf(&node.mbr, node.entries.entries())
     } else {
-        for (page, mbr) in &node.children {
-            buf.extend_from_slice(&page.0.to_le_bytes());
-            put_mbr(&mut buf, mbr);
+        encode_internal(node.level, &node.mbr, &node.children)
+    }
+}
+
+/// Serializes a leaf over `entries` with bounding rectangle `mbr`.
+fn encode_leaf<const D: usize>(mbr: &Mbr<D>, entries: &[LeafEntry<D>]) -> Vec<u8> {
+    let mut buf = node_header(0, entries.len(), mbr, entries.len() * leaf_entry_len(D));
+    for e in entries {
+        buf.extend_from_slice(&e.id.to_le_bytes());
+        for d in 0..D {
+            buf.extend_from_slice(&e.point[d].to_bits().to_le_bytes());
         }
     }
+    checked_page(buf)
+}
+
+/// Serializes an internal node at `level` over `children`.
+fn encode_internal<const D: usize>(
+    level: u32,
+    mbr: &Mbr<D>,
+    children: &[(PageId, Mbr<D>)],
+) -> Vec<u8> {
+    let mut buf = node_header(level, children.len(), mbr, children.len() * child_slot_len(D));
+    for (page, child) in children {
+        buf.extend_from_slice(&page.0.to_le_bytes());
+        put_mbr(&mut buf, child);
+    }
+    checked_page(buf)
+}
+
+/// A node page's header, in a buffer with room for `payload` more bytes.
+fn node_header<const D: usize>(level: u32, count: usize, mbr: &Mbr<D>, payload: usize) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(node_header_len(D) + payload);
+    buf.extend_from_slice(&level.to_le_bytes());
+    buf.extend_from_slice(&(count as u32).to_le_bytes());
+    put_mbr(&mut buf, mbr);
+    buf
+}
+
+fn checked_page(buf: Vec<u8>) -> Vec<u8> {
     debug_assert!(
         buf.len() <= PAGE_SIZE,
         "encoded node ({} bytes) exceeds the page — fanout validation let an oversized \
@@ -570,13 +606,7 @@ impl<const D: usize, Dk: Disk> PagedStore<D, Dk> {
                 ),
             });
         }
-        let page = {
-            let mut io = self.io.borrow_mut();
-            if io.disk().num_pages() == 0 {
-                io.disk_mut().alloc_through(PageId(0))?; // superblock
-            }
-            io.disk_mut().alloc()?
-        };
+        let page = self.alloc_page()?;
         let writeback = {
             let mut state = self.state.borrow_mut();
             let adm = state.pool.try_access(page)?;
@@ -588,6 +618,35 @@ impl<const D: usize, Dk: Disk> PagedStore<D, Dk> {
         if let Some((victim, data)) = writeback {
             self.io.borrow_mut().write(&Page::with_data(victim, data))?;
         }
+        Ok(page)
+    }
+
+    /// Allocates the next node page (page 0 is reserved for the
+    /// superblock on first use).
+    fn alloc_page(&self) -> Result<PageId, StorageError> {
+        let mut io = self.io.borrow_mut();
+        if io.disk().num_pages() == 0 {
+            io.disk_mut().alloc_through(PageId(0))?; // superblock
+        }
+        io.disk_mut().alloc()
+    }
+
+    /// Writes an encoded node to a freshly allocated page straight
+    /// through the retry pager. The pool never sees the page: it is not
+    /// resident afterwards, and the write is already done.
+    fn write_new_page(&self, bytes: Vec<u8>) -> Result<PageId, StorageError> {
+        if bytes.len() > PAGE_SIZE {
+            return Err(StorageError::Io {
+                op: IoOp::Write,
+                detail: format!(
+                    "encoded node ({} bytes) exceeds the {PAGE_SIZE}-byte page — lower the tree \
+                     fanout",
+                    bytes.len()
+                ),
+            });
+        }
+        let page = self.alloc_page()?;
+        self.io.borrow_mut().write(&Page::with_data(page, bytes))?;
         Ok(page)
     }
 
@@ -747,11 +806,14 @@ impl<const D: usize, Dk: Disk> PagedTree<D, Dk> {
         Ok(PagedTree { store, meta })
     }
 
-    /// Streams a Sort-Tile-Recursive bulk load straight to pages:
-    /// leaves are written as their chunks are produced, upper levels are
-    /// STR-tiled over `(page, MBR)` summaries — the full node arena
-    /// never exists in memory. The resulting tree is structurally
-    /// identical to `bulk::str_pack` (same chunking, same child order).
+    /// Runs a Sort-Tile-Recursive bulk load straight to pages: the
+    /// entries are tiled in one buffer, then every node is encoded and
+    /// written through the retry pager as it is finished — leaves in
+    /// chunk order, then each upper level, STR-tiled over the `(page,
+    /// MBR)` summaries of the level below. The full node arena never
+    /// exists in memory, and the buffer pool starts cold. The resulting
+    /// tree is structurally identical to `bulk::str_pack` (same
+    /// chunking, same child order).
     ///
     /// # Errors
     /// Returns [`StorageError::Io`] when the configured fanout cannot
@@ -773,26 +835,28 @@ impl<const D: usize, Dk: Disk> PagedTree<D, Dk> {
         let mut root = None;
         if !points.is_empty() {
             // Leaf level: identical chunking to bulk::str_pack.
-            let chunks = str_chunks::<_, D>(make_entries(points), cap, |e, d| e.point[d]);
+            let mut entries = make_entries(points);
+            let chunks = str_chunks::<_, D>(&mut entries, cap, |e, d| e.point[d]);
             let mut level_nodes: Vec<(PageId, Mbr<D>)> = Vec::with_capacity(chunks.len());
             for chunk in chunks {
-                let node = PagedNode::leaf(chunk);
-                let mbr = node.mbr;
-                level_nodes.push((store.put_node(node)?, mbr));
+                let leaf = &entries[chunk];
+                let mbr = leaf_mbr(leaf);
+                level_nodes.push((store.write_new_page(encode_leaf(&mbr, leaf))?, mbr));
                 node_pages += 1;
             }
+            drop(entries);
             // Upper levels: STR-tiling of node MBR centers, exactly as
             // bulk::pack_upper_levels_str.
             height = 1;
             let mut level = 1u32;
             while level_nodes.len() > 1 {
-                let groups =
-                    str_chunks::<(PageId, Mbr<D>), D>(level_nodes, cap, |it, d| it.1.center()[d]);
+                let groups = str_chunks::<_, D>(&mut level_nodes, cap, |it, d| it.1.center()[d]);
                 let mut parents = Vec::with_capacity(groups.len());
                 for group in groups {
-                    let node = PagedNode::internal(level, group);
-                    let mbr = node.mbr;
-                    parents.push((store.put_node(node)?, mbr));
+                    let children = &level_nodes[group];
+                    let mbr = children_mbr(children);
+                    let page = store.write_new_page(encode_internal(level, &mbr, children))?;
+                    parents.push((page, mbr));
                     node_pages += 1;
                 }
                 level_nodes = parents;
