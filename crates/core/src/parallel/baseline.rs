@@ -187,7 +187,7 @@ impl StaticParallelJoin {
                     // join, which orders them.
                     links.fetch_add(stats.links_emitted + stats.links_in_groups, Ordering::Relaxed);
                     groups.fetch_add(stats.groups_emitted, Ordering::Relaxed); // ORDERING: as `links`
-                    let task_bytes: u64 = items.iter().map(|i| i.format_bytes(self.id_width)).sum();
+                    let task_bytes = stats.output_bytes(self.id_width);
                     bytes.fetch_add(task_bytes, Ordering::Relaxed); // ORDERING: as `links`
                                                                     // csj-lint: allow(panic-safety) — poisoning means a peer
                                                                     // panicked with the results lock held; propagate it.

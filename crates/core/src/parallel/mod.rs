@@ -467,7 +467,7 @@ impl ParallelJoin {
             // orders them (see the Shared docs).
             shared.links.fetch_add(stats.links_emitted + stats.links_in_groups, Ordering::Relaxed);
             shared.groups.fetch_add(stats.groups_emitted, Ordering::Relaxed); // ORDERING: as `links`
-            let task_bytes: u64 = items.iter().map(|i| i.format_bytes(self.id_width)).sum();
+            let task_bytes = stats.output_bytes(self.id_width);
             shared.bytes.fetch_add(task_bytes, Ordering::Relaxed); // ORDERING: as `links`
             out.push((item.key, items, stats, completed));
         }
@@ -630,6 +630,40 @@ mod tests {
         for algo in [ParallelAlgo::Ncsj, ParallelAlgo::Csj(10)] {
             let out = ParallelJoin::new(eps, algo).with_threads(6).run(&tree);
             assert_eq!(out.expanded_link_set(), truth, "{algo:?}");
+        }
+    }
+
+    #[test]
+    fn byte_meter_matches_output_bytes() {
+        // The budget meter counts each task's bytes from its stats; the
+        // rows it stands for must format to exactly that many bytes, on
+        // a finished run and on one a byte budget stops part-way.
+        let pts = clustered(2_000);
+        let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(8));
+        let width = 4;
+        for algo in [ParallelAlgo::Ncsj, ParallelAlgo::Csj(10)] {
+            for threads in [1, 2, 8] {
+                let join = ParallelJoin::new(0.05, algo).with_threads(threads).with_id_width(width);
+                let full = join.clone().run(&tree);
+                let total = full.total_bytes(width);
+                assert!(full.num_groups() > 0 && total > 0, "{algo:?}: group rows are metered too");
+                assert_eq!(full.stats.output_bytes(width), total, "{algo:?} threads={threads}");
+
+                let cut =
+                    join.with_budget(RunBudget::unlimited().with_max_bytes(total / 4)).run(&tree);
+                let Completion::Partial { completed_fraction, estimated_bytes, .. } =
+                    cut.completion
+                else {
+                    panic!("{algo:?} threads={threads}: a quarter of the bytes must stop the run");
+                };
+                let metered = estimated_bytes * completed_fraction;
+                let written = cut.total_bytes(width) as f64;
+                assert!(
+                    (metered - written).abs() <= 1e-9 * written,
+                    "{algo:?} threads={threads}: metered {metered} vs written {written}"
+                );
+                assert_eq!(cut.stats.output_bytes(width), cut.total_bytes(width));
+            }
         }
     }
 

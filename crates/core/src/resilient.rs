@@ -327,11 +327,10 @@ impl ResilientJoin {
     /// links implied by groups, and the deterministic byte size of the
     /// paper's text format (`k` ids cost `k · (width + 1)` bytes per row).
     fn usage_of(&self, stats: &JoinStats) -> BudgetUsage {
-        let ids = 2 * stats.links_emitted + stats.group_members_emitted;
         BudgetUsage {
             links: stats.links_emitted + stats.links_in_groups,
             groups: stats.groups_emitted,
-            bytes: ids * (self.id_width as u64 + 1),
+            bytes: stats.output_bytes(self.id_width),
         }
     }
 

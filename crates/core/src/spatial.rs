@@ -12,6 +12,7 @@ use std::collections::{BTreeSet, HashSet};
 
 use csj_geom::{Mbr, Metric, Point, RecordId};
 use csj_index::{JoinIndex, NodeId};
+use csj_storage::push_padded_id;
 
 use crate::stats::JoinStats;
 use crate::JoinConfig;
@@ -112,31 +113,27 @@ impl SpatialOutput {
         width: usize,
     ) -> Result<(), csj_storage::StorageError> {
         let mut line = Vec::with_capacity(256);
-        let push_id = |line: &mut Vec<u8>, id: RecordId| {
-            let s = format!("{id:0width$}");
-            line.extend_from_slice(s.as_bytes());
-        };
         for item in &self.items {
             line.clear();
             match item {
                 SpatialItem::Link(l, r) => {
-                    push_id(&mut line, *l);
+                    push_padded_id(&mut line, *l, width);
                     line.extend_from_slice(b" | ");
-                    push_id(&mut line, *r);
+                    push_padded_id(&mut line, *r, width);
                 }
                 SpatialItem::Group { left, right } => {
                     for (i, &id) in left.iter().enumerate() {
                         if i > 0 {
                             line.push(b' ');
                         }
-                        push_id(&mut line, id);
+                        push_padded_id(&mut line, id, width);
                     }
                     line.extend_from_slice(b" | ");
                     for (i, &id) in right.iter().enumerate() {
                         if i > 0 {
                             line.push(b' ');
                         }
-                        push_id(&mut line, id);
+                        push_padded_id(&mut line, id, width);
                     }
                 }
             }

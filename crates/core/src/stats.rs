@@ -82,6 +82,14 @@ impl JoinStats {
         self.links_emitted + self.groups_emitted
     }
 
+    /// Bytes of the rows these counters describe in the paper's text
+    /// format at `id_width`: a row of `k` ids is `k·(id_width + 1)`
+    /// bytes, so this equals [`crate::output::JoinOutput::total_bytes`]
+    /// over the same rows.
+    pub fn output_bytes(&self, id_width: usize) -> u64 {
+        (2 * self.links_emitted + self.group_members_emitted) * (id_width as u64 + 1)
+    }
+
     /// Merges these stats into `self` (used by the parallel runner).
     pub fn absorb(&mut self, other: &JoinStats) {
         self.node_visits += other.node_visits;

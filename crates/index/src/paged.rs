@@ -775,7 +775,10 @@ pub struct PagedTree<const D: usize, Dk: Disk> {
 
 impl<const D: usize, Dk: Disk> PagedTree<D, Dk> {
     /// Serializes a built [`RectCore`] (from any loader or dynamic
-    /// inserts) to `disk`, depth-first, children before parents.
+    /// inserts) to `disk`, depth-first, children before parents. Each
+    /// node is encoded and written through the retry pager as it is
+    /// reached, as [`PagedTree::build_str`] does, so the buffer pool
+    /// starts cold.
     ///
     /// # Errors
     /// Returns [`StorageError::Io`] when the tree's fanout cannot fit a
@@ -980,30 +983,24 @@ impl<const D: usize, Dk: Disk> PagedTree<D, Dk> {
     }
 }
 
-/// Writes the subtree under `node_id` (children first), returning the
-/// root's page and MBR.
+/// Writes the subtree under `node_id` (children first) straight
+/// through the retry pager, returning the root's page and MBR.
 fn write_subtree<const D: usize, Dk: Disk>(
     core: &RectCore<D>,
     node_id: crate::arena::NodeId,
     store: &PagedStore<D, Dk>,
 ) -> Result<(PageId, Mbr<D>), StorageError> {
     let n = core.node(node_id);
-    let paged = if n.is_leaf() {
-        PagedNode {
-            level: 0,
-            mbr: n.mbr,
-            children: Vec::new(),
-            entries: n.entries.entries().to_vec().into(),
-        }
+    let bytes = if n.is_leaf() {
+        encode_leaf(&n.mbr, n.entries.entries())
     } else {
         let mut children = Vec::with_capacity(n.children.len());
         for &c in &n.children {
             children.push(write_subtree(core, c, store)?);
         }
-        PagedNode { level: n.level, mbr: n.mbr, children, entries: LeafStore::new() }
+        encode_internal(n.level, &n.mbr, &children)
     };
-    let mbr = paged.mbr;
-    Ok((store.put_node(paged)?, mbr))
+    Ok((store.write_new_page(bytes)?, n.mbr))
 }
 
 #[cfg(test)]

@@ -91,7 +91,15 @@ impl OutputSink for VecSink {
     }
 }
 
-/// Writes output to a real file through a buffered writer.
+/// Bytes a [`FileSink`] gathers before each `write(2)`. Eight times
+/// `BufWriter`'s default: a 105 MB output file took about half the time
+/// to write in 64 KiB calls as in 8 KiB ones, and a 1 MiB buffer was no
+/// faster but lengthened the stall at each flush, the longest gap a
+/// streaming reader sees between rows.
+const FILE_BUFFER_BYTES: usize = 64 * 1024;
+
+/// Writes output to a real file through a 64 KiB buffer
+/// (`FILE_BUFFER_BYTES`).
 #[derive(Debug)]
 pub struct FileSink {
     writer: BufWriter<File>,
@@ -106,7 +114,7 @@ impl FileSink {
     pub fn create(path: impl AsRef<Path>) -> Result<Self, StorageError> {
         let path = path.as_ref();
         let file = File::create(path).map_err(|e| StorageError::io_at(IoOp::Write, path, &e))?;
-        Ok(FileSink { writer: BufWriter::new(file), bytes: 0 })
+        Ok(FileSink { writer: BufWriter::with_capacity(FILE_BUFFER_BYTES, file), bytes: 0 })
     }
 }
 
@@ -163,11 +171,75 @@ impl<S: OutputSink> OutputSink for FaultySink<S> {
     }
 }
 
+/// The two ASCII digits of every value below 100, `"00"` to `"99"`.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut table = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        table[2 * i] = b'0' + (i / 10) as u8;
+        table[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    table
+};
+
+/// The widest id field: [`OutputWriter::new`] accepts widths up to 20,
+/// and a `u32` has at most 10 digits.
+const MAX_ID_WIDTH: usize = 20;
+
+/// Writes `id` in decimal filling all of `out`, from the right, two
+/// digits per step; places left of the number's own digits get zeros.
+/// `out` must be at least as long as the number (see [`id_len`]).
+#[inline]
+fn encode_id(out: &mut [u8], mut id: u32) {
+    let mut pairs = out.rchunks_exact_mut(2);
+    for pair in &mut pairs {
+        let at = (id % 100) as usize * 2;
+        pair.copy_from_slice(&DIGIT_PAIRS[at..at + 2]);
+        id /= 100;
+    }
+    if let [digit] = pairs.into_remainder() {
+        *digit = b'0' + (id % 10) as u8;
+    }
+}
+
+/// Decimal digits of `id`.
+fn digits(id: u32) -> usize {
+    id.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Bytes `id` takes at `width`: `width`, or all of its digits when it
+/// has more — an id too wide for the field is written unpadded, never
+/// truncated. `limit` is `10^width`, saturated at `u64::MAX`.
+#[inline]
+fn id_len(id: u32, width: usize, limit: u64) -> usize {
+    if u64::from(id) < limit {
+        width
+    } else {
+        digits(id)
+    }
+}
+
+/// Appends `id` to `line` as [`OutputWriter`] writes it, and as
+/// `format!("{id:0width$}")` does: zero-padded to `width` digits, or
+/// unpadded when it has more.
+pub fn push_padded_id(line: &mut Vec<u8>, id: u32, width: usize) {
+    let start = line.len();
+    line.resize(start + width.max(digits(id)), 0);
+    encode_id(&mut line[start..], id);
+}
+
 /// Formats links and groups in the paper's fixed-width text format.
+///
+/// Each row reaches the sink in exactly one
+/// [`OutputSink::write_bytes`] call, so a sink sees rows as the join
+/// emits them — nothing is batched between the join and its reader.
 #[derive(Debug)]
 pub struct OutputWriter<S> {
     sink: S,
     width: usize,
+    /// `10^width`: ids below it take the fixed-width path.
+    limit: u64,
     links: u64,
     groups: u64,
     scratch: Vec<u8>,
@@ -179,8 +251,15 @@ impl<S: OutputSink> OutputWriter<S> {
     /// Use [`OutputWriter::id_width_for`] to derive the width from the
     /// dataset size, as the paper does ("the same fixed number of bits").
     pub fn new(sink: S, width: usize) -> Self {
-        assert!((1..=20).contains(&width), "id width out of range");
-        OutputWriter { sink, width, links: 0, groups: 0, scratch: Vec::with_capacity(256) }
+        assert!((1..=MAX_ID_WIDTH).contains(&width), "id width out of range");
+        OutputWriter {
+            sink,
+            width,
+            limit: 10u64.checked_pow(width as u32).unwrap_or(u64::MAX),
+            links: 0,
+            groups: 0,
+            scratch: Vec::with_capacity(256),
+        }
     }
 
     /// The minimal width that fits every id of a dataset with `n` records.
@@ -199,12 +278,15 @@ impl<S: OutputSink> OutputWriter<S> {
     /// # Errors
     /// Returns [`StorageError`] when the sink rejects the write.
     pub fn write_link(&mut self, a: u32, b: u32) -> Result<(), StorageError> {
-        self.scratch.clear();
-        Self::push_padded(&mut self.scratch, a, self.width);
-        self.scratch.push(b' ');
-        Self::push_padded(&mut self.scratch, b, self.width);
-        self.scratch.push(b'\n');
-        self.sink.write_bytes(&self.scratch)?;
+        let la = id_len(a, self.width, self.limit);
+        let lb = id_len(b, self.width, self.limit);
+        let mut line = [0u8; 2 * MAX_ID_WIDTH + 2];
+        let (first, rest) = line.split_at_mut(la);
+        encode_id(first, a);
+        rest[0] = b' ';
+        encode_id(&mut rest[1..=lb], b);
+        rest[lb + 1] = b'\n';
+        self.sink.write_bytes(&line[..la + lb + 2])?;
         self.links += 1;
         Ok(())
     }
@@ -221,38 +303,22 @@ impl<S: OutputSink> OutputWriter<S> {
         if ids.is_empty() {
             return Err(StorageError::EmptyGroupRow);
         }
+        let (width, limit) = (self.width, self.limit);
+        // `k·(width+1)` bytes when every id fits its field; each space
+        // between ids, and the final newline, is already in place.
+        let len = ids.iter().map(|&id| id_len(id, width, limit) + 1).sum();
         self.scratch.clear();
-        Self::push_padded(&mut self.scratch, ids[0], self.width);
-        for &id in &ids[1..] {
-            self.scratch.push(b' ');
-            Self::push_padded(&mut self.scratch, id, self.width);
+        self.scratch.resize(len, b' ');
+        let mut at = 0;
+        for &id in ids {
+            let n = id_len(id, width, limit);
+            encode_id(&mut self.scratch[at..at + n], id);
+            at += n + 1;
         }
-        self.scratch.push(b'\n');
+        self.scratch[len - 1] = b'\n';
         self.sink.write_bytes(&self.scratch)?;
         self.groups += 1;
         Ok(())
-    }
-
-    fn push_padded(buf: &mut Vec<u8>, value: u32, width: usize) {
-        let mut digits = [0u8; 10];
-        let mut v = value;
-        let mut n = 0;
-        loop {
-            digits[n] = b'0' + (v % 10) as u8;
-            v /= 10;
-            n += 1;
-            if v == 0 {
-                break;
-            }
-        }
-        // Pad (ids wider than `width` are written unpadded rather than
-        // truncated, preserving correctness over formatting).
-        for _ in n..width {
-            buf.push(b'0');
-        }
-        for i in (0..n).rev() {
-            buf.push(digits[i]);
-        }
     }
 
     /// Number of link lines written.
@@ -316,6 +382,29 @@ mod tests {
         let mut w = OutputWriter::new(VecSink::new(), 2);
         w.write_link(12345, 7).unwrap();
         assert_eq!(w.sink().as_str(), "12345 07\n");
+    }
+
+    #[test]
+    fn ids_match_format_at_every_width() {
+        let ids = [0, 1, 9, 10, 99, 100, 12_345, 999_999, 1_000_000, 4_000_000_000, u32::MAX];
+        for width in 1..=20 {
+            for &a in &ids {
+                for &b in &ids {
+                    let mut w = OutputWriter::new(VecSink::new(), width);
+                    w.write_link(a, b).unwrap();
+                    w.write_group(&[b, a, b]).unwrap();
+                    let want =
+                        format!("{a:0width$} {b:0width$}\n{b:0width$} {a:0width$} {b:0width$}\n");
+                    assert_eq!(w.sink().as_str(), want, "width {width}");
+                }
+                let mut line = b"x".to_vec();
+                push_padded_id(&mut line, a, width);
+                assert_eq!(line, format!("x{a:0width$}").into_bytes(), "width {width}");
+            }
+        }
+        let mut line = Vec::new();
+        push_padded_id(&mut line, 0, 0);
+        assert_eq!(line, b"0", "width 0 writes the digits, as format! does");
     }
 
     #[test]
